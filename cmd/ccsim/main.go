@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/cluster"
 	"repro/internal/configio"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -36,17 +37,6 @@ func run(args []string) error {
 		scenarioName  = fs.String("scenario", "", "named scenario from the catalog (see -list-scenarios; flags given explicitly override it)")
 		scenarioDir   = fs.String("scenario-dir", "", "directory of scenario files extending/overriding the built-in catalog")
 		listScenarios = fs.Bool("list-scenarios", false, "list the scenario catalog and exit")
-		procs         = fs.Int("procs", 65536, "total compute processors")
-		procsPerNode  = fs.Int("procs-per-node", 8, "processors per node")
-		mttfYears     = fs.Float64("mttf-years", 1, "per-node MTTF in years")
-		mttrMin       = fs.Float64("mttr-min", 10, "system MTTR in minutes")
-		intervalMin   = fs.Float64("interval-min", 30, "checkpoint interval in minutes")
-		mttqSec       = fs.Float64("mttq-sec", 10, "per-node mean time to quiesce in seconds")
-		timeoutSec    = fs.Float64("timeout-sec", 0, "coordination timeout in seconds (0 = none)")
-		coordination  = fs.String("coordination", "fixed", "coordination mode: fixed, none, max-of-n")
-		pe            = fs.Float64("pe", 0, "probability of correlated failure (error propagation)")
-		rFactor       = fs.Float64("r", 0, "correlated failure rate factor")
-		alpha         = fs.Float64("alpha", 0, "generic correlated failure coefficient")
 		reps          = fs.Int("reps", 5, "independent replications")
 		warmup        = fs.Float64("warmup", 1000, "transient hours to discard")
 		measure       = fs.Float64("measure", 4000, "measured hours per replication")
@@ -66,6 +56,19 @@ func run(args []string) error {
 		profileDir    = fs.String("profile-dir", "", "capture CPU/heap/goroutine profiles into this directory during the run")
 		profileEvery  = fs.Duration("profile-every", 0, "re-capture profiles at this interval (0 = one capture at start; needs -profile-dir)")
 	)
+	// Configuration flags, applied by name through the parameter
+	// vocabulary (cluster.SetParam).
+	fs.Int("procs", 65536, "total compute processors")
+	fs.Int("procs-per-node", 8, "processors per node")
+	fs.Float64("mttf-years", 1, "per-node MTTF in years")
+	fs.Float64("mttr-min", 10, "system MTTR in minutes")
+	fs.Float64("interval-min", 30, "checkpoint interval in minutes")
+	fs.Float64("mttq-sec", 10, "per-node mean time to quiesce in seconds")
+	fs.Float64("timeout-sec", 0, "coordination timeout in seconds (0 = none)")
+	fs.String("coordination", "fixed", "coordination mode: fixed, none, max-of-n")
+	fs.Float64("pe", 0, "probability of correlated failure (error propagation)")
+	fs.Float64("r", 0, "correlated failure rate factor")
+	fs.Float64("alpha", 0, "generic correlated failure coefficient")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -108,46 +111,21 @@ func run(args []string) error {
 	}
 
 	// Apply only the flags the user set explicitly, so a -config file or
-	// -scenario is not clobbered by flag defaults.
-	var coordErr error
-	apply := map[string]func(){
-		"procs":          func() { cfg.Processors = *procs },
-		"procs-per-node": func() { cfg.ProcsPerNode = *procsPerNode },
-		"mttf-years":     func() { cfg.MTTFPerNode = repro.Years(*mttfYears) },
-		"mttr-min":       func() { cfg.MTTR = repro.Minutes(*mttrMin) },
-		"interval-min":   func() { cfg.CheckpointInterval = repro.Minutes(*intervalMin) },
-		"mttq-sec":       func() { cfg.MTTQ = repro.Seconds(*mttqSec) },
-		"timeout-sec":    func() { cfg.Timeout = repro.Seconds(*timeoutSec) },
-		"pe":             func() { cfg.ProbCorrelated = *pe },
-		"r":              func() { cfg.CorrelatedFactor = *rFactor },
-		"alpha":          func() { cfg.GenericCorrelatedCoefficient = *alpha },
-		"coordination": func() {
-			switch *coordination {
-			case "fixed":
-				cfg.Coordination = repro.CoordFixed
-			case "none":
-				cfg.Coordination = repro.CoordNone
-			case "max-of-n":
-				cfg.Coordination = repro.CoordMaxOfN
-			default:
-				coordErr = fmt.Errorf("unknown coordination mode %q", *coordination)
-			}
-		},
+	// -scenario is not clobbered by flag defaults; with neither, every
+	// config flag applies.
+	var setErr error
+	apply := func(f *flag.Flag) {
+		if set, err := cluster.ParamSetter(f.Name); err == nil && setErr == nil {
+			setErr = set(&cfg, f.Value.String())
+		}
 	}
 	if *configPath == "" && *scenarioName == "" {
-		// No file or scenario: every config flag applies, as before.
-		for _, f := range apply {
-			f()
-		}
+		fs.VisitAll(apply)
 	} else {
-		fs.Visit(func(f *flag.Flag) {
-			if a, ok := apply[f.Name]; ok {
-				a()
-			}
-		})
+		fs.Visit(apply)
 	}
-	if coordErr != nil {
-		return coordErr
+	if setErr != nil {
+		return setErr
 	}
 	if err := repro.Validate(cfg); err != nil {
 		return err

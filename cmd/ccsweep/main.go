@@ -44,6 +44,7 @@ import (
 
 	"repro"
 	"repro/internal/blocks"
+	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/scenario"
@@ -61,16 +62,11 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("ccsweep", flag.ContinueOnError)
 	var (
-		param         = fs.String("param", "procs", "parameter to sweep: procs, interval-min, mttf-years, mttr-min, mttq-sec, timeout-sec, pe, alpha")
+		param         = fs.String("param", "procs", "parameter to sweep: "+strings.Join(cluster.ParamNames(), ", "))
 		values        = fs.String("values", "", "comma-separated values (required)")
 		scenarioName  = fs.String("scenario", "", "base the sweep on a named scenario (see -list-scenarios; flags given explicitly override it)")
 		scenarioDir   = fs.String("scenario-dir", "", "directory of scenario files extending/overriding the built-in catalog")
 		listScenarios = fs.Bool("list-scenarios", false, "list the scenario catalog and exit")
-		procs         = fs.Int("procs", 65536, "total compute processors")
-		mttfYears     = fs.Float64("mttf-years", 1, "per-node MTTF in years")
-		mttrMin       = fs.Float64("mttr-min", 10, "system MTTR in minutes")
-		intervalMin   = fs.Float64("interval-min", 30, "checkpoint interval in minutes")
-		coordination  = fs.String("coordination", "fixed", "coordination mode: fixed, none, max-of-n")
 		rFactor       = fs.Float64("r", 400, "correlated failure factor (used when sweeping pe/alpha)")
 		reps          = fs.Int("reps", 3, "independent replications")
 		warmup        = fs.Float64("warmup", 300, "transient hours to discard")
@@ -97,6 +93,13 @@ func run(args []string) error {
 		profileDir   = fs.String("profile-dir", "", "with -worker: where profile captures land (default <run>/profiles; 'off' disables)")
 		profileEvery = fs.Duration("profile-every", 0, "with -worker: also capture profiles at this interval (0 = straggler auto-trigger only)")
 	)
+	// Base configuration flags, applied by name through the parameter
+	// vocabulary (cluster.SetParam).
+	fs.Int("procs", 65536, "total compute processors")
+	fs.Float64("mttf-years", 1, "per-node MTTF in years")
+	fs.Float64("mttr-min", 10, "system MTTR in minutes")
+	fs.Float64("interval-min", 30, "checkpoint interval in minutes")
+	fs.String("coordination", "fixed", "coordination mode: fixed, none, max-of-n")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -168,42 +171,25 @@ func run(args []string) error {
 	}
 	// With a scenario base, apply only the flags the user set explicitly so
 	// flag defaults don't clobber it; without one, every base flag applies,
-	// as before.
-	var coordErr error
-	applyBase := map[string]func(){
-		"procs":        func() { base.Processors = *procs },
-		"mttf-years":   func() { base.MTTFPerNode = repro.Years(*mttfYears) },
-		"mttr-min":     func() { base.MTTR = repro.Minutes(*mttrMin) },
-		"interval-min": func() { base.CheckpointInterval = repro.Minutes(*intervalMin) },
-		"coordination": func() {
-			switch *coordination {
-			case "fixed":
-				base.Coordination = repro.CoordFixed
-			case "none":
-				base.Coordination = repro.CoordNone
-			case "max-of-n":
-				base.Coordination = repro.CoordMaxOfN
-			default:
-				coordErr = fmt.Errorf("unknown coordination mode %q", *coordination)
-			}
-		},
+	// as before. -r joins the base only when sweeping pe or alpha.
+	var setErr error
+	apply := func(f *flag.Flag) {
+		if set, err := cluster.ParamSetter(f.Name); err == nil && setErr == nil && f.Name != "r" {
+			setErr = set(&base, f.Value.String())
+		}
 	}
 	if *scenarioName == "" {
-		for _, f := range applyBase {
-			f()
-		}
+		fs.VisitAll(apply)
 	} else {
-		fs.Visit(func(f *flag.Flag) {
-			if a, ok := applyBase[f.Name]; ok {
-				a()
-			}
-		})
+		fs.Visit(apply)
 	}
-	if coordErr != nil {
-		return coordErr
+	if setErr == nil && (*param == "pe" || *param == "alpha") {
+		setErr = cluster.SetParam(&base, "r", strconv.FormatFloat(*rFactor, 'g', -1, 64))
 	}
-
-	apply, err := setter(*param, *rFactor)
+	if setErr != nil {
+		return setErr
+	}
+	setParam, err := cluster.ParamSetter(*param)
 	if err != nil {
 		return err
 	}
@@ -212,17 +198,21 @@ func run(args []string) error {
 	// in input order; the simulations then fan out on the worker pool and
 	// the rows print in input order once all are done.
 	var vals []float64
+	var cfgs []repro.Config
 	for _, raw := range strings.Split(*values, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
 		if err != nil {
 			return fmt.Errorf("value %q: %w", raw, err)
 		}
 		cfg := base
-		apply(&cfg, v)
+		if err := setParam(&cfg, strings.TrimSpace(raw)); err != nil {
+			return fmt.Errorf("value %v: %w", v, err)
+		}
 		if err := repro.Validate(cfg); err != nil {
 			return fmt.Errorf("value %v: %w", v, err)
 		}
 		vals = append(vals, v)
+		cfgs = append(cfgs, cfg)
 	}
 
 	// The sweep is a grid plan whether it runs here or in detached workers:
@@ -230,14 +220,12 @@ func run(args []string) error {
 	// is simply "plan, claim everything, reduce" inside this process.
 	cells := make([]blocks.Cell, len(vals))
 	for i, v := range vals {
-		cfg := base
-		apply(&cfg, v)
 		cells[i] = blocks.Cell{
 			Label:        fmt.Sprintf("%s=%g", *param, v),
 			X:            v,
 			Seed:         *seed + uint64(i)*1000003,
 			Replications: *reps,
-			Config:       cfg,
+			Config:       cfgs[i],
 		}
 	}
 	opts := repro.Options{
@@ -434,34 +422,4 @@ func reducedCI(values []float64, m *blocks.Manifest) stats.Interval {
 		a.Add(v)
 	}
 	return a.CI(m.Confidence)
-}
-
-// setter maps a parameter name to a config mutator.
-func setter(param string, r float64) (func(*repro.Config, float64), error) {
-	switch param {
-	case "procs":
-		return func(c *repro.Config, v float64) { c.Processors = int(v) }, nil
-	case "interval-min":
-		return func(c *repro.Config, v float64) { c.CheckpointInterval = repro.Minutes(v) }, nil
-	case "mttf-years":
-		return func(c *repro.Config, v float64) { c.MTTFPerNode = repro.Years(v) }, nil
-	case "mttr-min":
-		return func(c *repro.Config, v float64) { c.MTTR = repro.Minutes(v) }, nil
-	case "mttq-sec":
-		return func(c *repro.Config, v float64) { c.MTTQ = repro.Seconds(v) }, nil
-	case "timeout-sec":
-		return func(c *repro.Config, v float64) { c.Timeout = repro.Seconds(v) }, nil
-	case "pe":
-		return func(c *repro.Config, v float64) {
-			c.ProbCorrelated = v
-			c.CorrelatedFactor = r
-		}, nil
-	case "alpha":
-		return func(c *repro.Config, v float64) {
-			c.GenericCorrelatedCoefficient = v
-			c.CorrelatedFactor = r
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown parameter %q", param)
-	}
 }

@@ -1,0 +1,91 @@
+package cluster
+
+import (
+	"strings"
+	"testing"
+)
+
+func TestParseCoordination(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want CoordinationMode
+		err  string
+	}{
+		{"fixed", CoordFixed, ""},
+		{"none", CoordNone, ""},
+		{"max-of-n", CoordMaxOfN, ""},
+		{"", 0, `unknown coordination mode ""`},
+		{"Fixed", 0, `unknown coordination mode "Fixed"`},
+		{"maxofn", 0, `unknown coordination mode "maxofn"`},
+	} {
+		got, err := ParseCoordination(tc.in)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("ParseCoordination(%q) error = %v, want %q", tc.in, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseCoordination(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+		if got.String() != tc.in {
+			t.Errorf("ParseCoordination(%q).String() = %q", tc.in, got.String())
+		}
+	}
+}
+
+// TestSetParamVocabulary pins each name of the vocabulary to the field and
+// unit it sets.
+func TestSetParamVocabulary(t *testing.T) {
+	for _, tc := range []struct {
+		name, value string
+		check       func(Config) bool
+	}{
+		{"procs", "8192", func(c Config) bool { return c.Processors == 8192 }},
+		{"procs-per-node", "16", func(c Config) bool { return c.ProcsPerNode == 16 }},
+		{"nodes", "1024", func(c Config) bool { return c.Processors == 1024*8 }},
+		{"mttf-years", "3", func(c Config) bool { return c.MTTFPerNode == Years(3) }},
+		{"mttr-min", "20", func(c Config) bool { return c.MTTR == Minutes(20) }},
+		{"interval-min", "60", func(c Config) bool { return c.CheckpointInterval == Minutes(60) }},
+		{"mttq-sec", "0.5", func(c Config) bool { return c.MTTQ == Seconds(0.5) }},
+		{"timeout-sec", "120", func(c Config) bool { return c.Timeout == Seconds(120) }},
+		{"coordination", "max-of-n", func(c Config) bool { return c.Coordination == CoordMaxOfN }},
+		{"pe", "0.1", func(c Config) bool { return c.ProbCorrelated == 0.1 }},
+		{"r", "400", func(c Config) bool { return c.CorrelatedFactor == 400 }},
+		{"alpha", "0.0025", func(c Config) bool { return c.GenericCorrelatedCoefficient == 0.0025 }},
+		{"straggler-fraction", "0.01", func(c Config) bool { return c.StragglerFraction == 0.01 }},
+		{"straggler-mttq-mult", "10", func(c Config) bool { return c.StragglerMTTQMultiplier == 10 }},
+		{"blocking-write", "true", func(c Config) bool { return c.BlockingCheckpointWrite }},
+		{"no-buffered-recovery", "true", func(c Config) bool { return c.NoBufferedRecovery }},
+	} {
+		c := Default()
+		if err := SetParam(&c, tc.name, tc.value); err != nil {
+			t.Errorf("%s=%s: %v", tc.name, tc.value, err)
+			continue
+		}
+		if !tc.check(c) {
+			t.Errorf("%s=%s did not set its field: %+v", tc.name, tc.value, c)
+		}
+	}
+	if got, want := len(ParamNames()), 16; got != want {
+		t.Errorf("vocabulary has %d names, the test covers %d", got, want)
+	}
+}
+
+func TestSetParamRejects(t *testing.T) {
+	c := Default()
+	err := SetParam(&c, "bogus", "1")
+	if err == nil || !strings.Contains(err.Error(), `unknown parameter "bogus"`) ||
+		!strings.Contains(err.Error(), strings.Join(ParamNames(), ", ")) {
+		t.Errorf("unknown name: %v", err)
+	}
+	for _, bad := range [][2]string{{"procs", "many"}, {"blocking-write", "maybe"}, {"coordination", "bogus"}} {
+		before := c
+		if err := SetParam(&c, bad[0], bad[1]); err == nil {
+			t.Errorf("%s=%s accepted", bad[0], bad[1])
+		}
+		if c != before {
+			t.Errorf("%s=%s changed the config on error", bad[0], bad[1])
+		}
+	}
+}

@@ -125,15 +125,12 @@ func (f FileConfig) ToCluster() (cluster.Config, error) {
 	}
 	setDur(&c.CorrelatedWindow, f.CorrelatedWindowMinutes, cluster.Minutes)
 	c.GenericCorrelatedCoefficient = f.GenericCorrelatedCoefficient
-	switch f.Coordination {
-	case "", "fixed":
-		c.Coordination = cluster.CoordFixed
-	case "none":
-		c.Coordination = cluster.CoordNone
-	case "max-of-n":
-		c.Coordination = cluster.CoordMaxOfN
-	default:
-		return cluster.Config{}, fmt.Errorf("configio: unknown coordination %q", f.Coordination)
+	if f.Coordination != "" {
+		mode, err := cluster.ParseCoordination(f.Coordination)
+		if err != nil {
+			return cluster.Config{}, fmt.Errorf("configio: %w", err)
+		}
+		c.Coordination = mode
 	}
 	c.BlockingCheckpointWrite = f.BlockingCheckpointWrite
 	c.NoBufferedRecovery = f.NoBufferedRecovery
