@@ -14,47 +14,15 @@ type ClaimResult struct {
 	Detail string
 }
 
-// CheckClaims verifies the shape claims of a reproduced figure. Unknown
-// figure IDs yield a single informational non-failure result so callers
-// can run the checker over arbitrary figure sets.
+// CheckClaims verifies the shape claims of a reproduced figure with the
+// checks its table row declares. Figures without a row (scenario sweeps)
+// yield a single informational non-failure result so callers can run the
+// checker over arbitrary figure sets.
 func CheckClaims(fig *Figure) []ClaimResult {
-	switch fig.ID {
-	case "fig4a":
-		return checkOptimumShift(fig, "MTTF", false)
-	case "fig4b":
-		return checkNoInteriorOptimum(fig)
-	case "fig4c":
-		return append(checkOptimumShift(fig, "MTTR", true), checkSeriesOrdered(fig, "MTTR=10min", "MTTR=80min")...)
-	case "fig4d":
-		return append(checkMonotoneDecreasing(fig), checkSeriesOrdered(fig, "MTTR=10min", "MTTR=80min")...)
-	case "fig4e":
-		return checkOptimumShift(fig, "interval", true)
-	case "fig4f":
-		return checkSharpDropAfter30(fig)
-	case "fig4g", "fig4h":
-		return checkSeriesOrdered(fig, "MTTF=2yr", "MTTF=1yr")
-	case "fig5":
-		return append(checkMonotoneDecreasing(fig), checkSeriesOrdered(fig, "MTTQ=0.5s", "MTTQ=10s")...)
-	case "fig6":
-		return checkTimeoutCollapse(fig)
-	case "fig7":
-		return checkFlat(fig, 0.08)
-	case "fig8":
-		return checkSeriesOrdered(fig, "without correlated failure", "with correlated failure")
-	case "xablations":
-		return append(checkSeriesOrdered(fig, "full design", "blocking FS writes"),
-			checkSeriesOrdered(fig, "full design", "no buffered recovery")...)
-	case "xstragglers":
-		return checkSeriesOrdered(fig, "homogeneous", "1% stragglers 100x")
-	case "xmodelerror":
-		return checkSeriesOrdered(fig, "classic (no coordination)", "renewal (with coordination)")
-	case "xbreakdown":
-		return checkRecoveryGrows(fig)
-	case "xphasecheck":
-		return checkSpanAgreement(fig)
-	default:
-		return []ClaimResult{{Figure: fig.ID, Claim: "no automated claim", Pass: true, Detail: "informational"}}
+	if d, err := LookupAny(fig.ID); err == nil && d.claims != nil {
+		return d.claims(fig)
 	}
+	return []ClaimResult{{Figure: fig.ID, Claim: "no automated claim", Pass: true, Detail: "informational"}}
 }
 
 // slack returns the comparison tolerance for two points: their combined CI

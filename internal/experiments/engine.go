@@ -4,21 +4,59 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/blocks"
 	"repro/internal/cluster"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 )
 
-// seriesSpec declares one curve of a figure before anything runs: the base
-// configuration, the x values, and the per-cell mutation. Declaring every
-// series up front lets a figure submit all its (series, x) cells to the
-// worker pool as one flat job grid instead of sweeping series by series.
+// seriesSpec declares one curve of a figure before anything runs: its
+// name and one model configuration per x value. Declaring every series up
+// front lets a figure submit all its (series, x) cells to the worker pool
+// as one flat job grid instead of sweeping series by series.
 type seriesSpec struct {
-	name   string
-	base   cluster.Config
-	xs     []float64
-	mutate func(cfg *cluster.Config, x float64)
+	name string
+	xs   []float64
+	cfgs []cluster.Config // cfgs[i] is the configuration at xs[i]
+}
+
+// grid measures a table row: one series per variant over the row's x axis,
+// every cell starting from base with the row's overrides, then the
+// variant's, then the x value applied through the parameter vocabulary.
+func (d Def) grid(base cluster.Config, opts runner.Options) ([]Series, error) {
+	if err := setParams(&base, d.set); err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", d.ID, err)
+	}
+	specs := make([]seriesSpec, len(d.series))
+	for si, v := range d.series {
+		series := base
+		if err := setParams(&series, v.set); err != nil {
+			return nil, fmt.Errorf("experiments: %s: series %s: %w", d.ID, v.name, err)
+		}
+		specs[si] = seriesSpec{name: v.name, xs: d.xs}
+		for _, x := range d.xs {
+			cfg := series
+			if err := cluster.SetParam(&cfg, d.x, strconv.FormatFloat(x, 'g', -1, 64)); err != nil {
+				return nil, fmt.Errorf("experiments: %s: %w", d.ID, err)
+			}
+			specs[si].cfgs = append(specs[si].cfgs, cfg)
+		}
+	}
+	return runSpecs(specs, opts)
+}
+
+// setParams applies space-separated name=value overrides in order.
+func setParams(cfg *cluster.Config, overrides string) error {
+	for _, kv := range strings.Fields(overrides) {
+		name, value, _ := strings.Cut(kv, "=")
+		if err := cluster.SetParam(cfg, name, value); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runSpecs measures every cell of the given specs as one block-planned
@@ -37,14 +75,12 @@ func runSpecs(specs []seriesSpec, opts runner.Options) ([]Series, error) {
 	var cells []blocks.Cell
 	for si, sp := range specs {
 		for xi, x := range sp.xs {
-			cfg := sp.base
-			sp.mutate(&cfg, x)
 			refs = append(refs, cellRef{si, xi})
 			cells = append(cells, blocks.Cell{
 				Label:  fmt.Sprintf("%s@%g", sp.name, x),
 				X:      x,
 				Seed:   opts.Seed*1000003 + uint64(xi)*7919 + hashName(sp.name),
-				Config: cfg,
+				Config: sp.cfgs[xi],
 			})
 		}
 	}
@@ -79,7 +115,13 @@ func runSpecs(specs []seriesSpec, opts runner.Options) ([]Series, error) {
 // experiments that mix measured and analytic series.
 func sweep(base cluster.Config, name string, xs []float64,
 	mutate func(cfg *cluster.Config, x float64), opts runner.Options) (Series, error) {
-	series, err := runSpecs([]seriesSpec{{name: name, base: base, xs: xs, mutate: mutate}}, opts)
+	sp := seriesSpec{name: name, xs: xs}
+	for _, x := range xs {
+		cfg := base
+		mutate(&cfg, x)
+		sp.cfgs = append(sp.cfgs, cfg)
+	}
+	series, err := runSpecs([]seriesSpec{sp}, opts)
 	if err != nil {
 		return Series{}, err
 	}
@@ -94,4 +136,31 @@ func hashName(name string) uint64 {
 		h *= 1099511628211
 	}
 	return h
+}
+
+// mustScenarioConfig returns the named built-in scenario's model
+// configuration. The experiments draw their base configurations from the
+// scenario catalog so that "what figure N ran" is inspectable data
+// (`ccsim -list-scenarios`), not code. The embedded catalog is validated
+// by its package tests and pinned bit-identically by the model
+// differential suite, so a failure here is a build defect; panicking keeps
+// the experiments free of impossible error plumbing.
+func mustScenarioConfig(name string) cluster.Config {
+	s, err := scenario.Builtin().Get(name)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	cfg, err := s.ClusterConfig()
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return cfg
+}
+
+// baseConfig is the Section 7.1 base model: fixed quiesce time, no
+// timeout, independent failures only — the "base" scenario of the
+// catalog (which TestScenarioRegistryPinsVariants pins to the paper's
+// Table 3 defaults).
+func baseConfig() cluster.Config {
+	return mustScenarioConfig("base")
 }

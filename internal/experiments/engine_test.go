@@ -14,14 +14,14 @@ import (
 // index).
 func TestFigureWorkerInvariance(t *testing.T) {
 	opts := runner.Options{Replications: 2, Warmup: 20, Measure: 120, Seed: 42, Workers: 1}
-	want, err := Fig4g(opts)
+	want, err := def(t, "fig4g").Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{3, -1} {
 		o := opts
 		o.Workers = workers
-		got, err := Fig4g(o)
+		got, err := def(t, "fig4g").Run(o)
 		if err != nil {
 			t.Fatalf("Workers=%d: %v", workers, err)
 		}

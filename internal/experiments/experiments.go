@@ -30,7 +30,7 @@ type Series struct {
 // Figure is the reproduction of one paper figure: a set of series over a
 // common x axis.
 type Figure struct {
-	ID     string // e.g. "fig4a"
+	ID     string // the experiment table row ID
 	Title  string
 	XLabel string
 	YLabel string // "total useful work" or "useful work fraction"

@@ -26,10 +26,24 @@ func TestRegistryComplete(t *testing.T) {
 		if defs[i].ID != id {
 			t.Errorf("defs[%d].ID = %s, want %s", i, defs[i].ID, id)
 		}
-		if defs[i].Title == "" || defs[i].ShapeClaim == "" || defs[i].Run == nil {
-			t.Errorf("experiment %s incomplete", id)
+	}
+	for _, d := range table {
+		grid := d.base != "" && d.x != "" && len(d.xs) > 0 && len(d.series) > 0
+		if d.Title == "" || d.ShapeClaim == "" || d.figTitle == "" || d.xLabel == "" ||
+			d.yLabel == "" || d.claims == nil || grid == (d.run != nil) {
+			t.Errorf("experiment %s incomplete", d.ID)
 		}
 	}
+}
+
+// def returns the table row with the given ID.
+func def(t *testing.T, id string) Def {
+	t.Helper()
+	d, err := LookupAny(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 func TestLookup(t *testing.T) {
@@ -43,7 +57,7 @@ func TestLookup(t *testing.T) {
 }
 
 func TestFig5ShapeMonotone(t *testing.T) {
-	fig, err := Fig5(tinyOpts())
+	fig, err := def(t, "fig5").Run(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +91,7 @@ func TestFig5ShapeMonotone(t *testing.T) {
 }
 
 func TestFig7Structure(t *testing.T) {
-	fig, err := Fig7(tinyOpts())
+	fig, err := def(t, "fig7").Run(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +111,7 @@ func TestFig7Structure(t *testing.T) {
 }
 
 func TestFig8Degradation(t *testing.T) {
-	fig, err := Fig8(tinyOpts())
+	fig, err := def(t, "fig8").Run(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ func TestExtrasRegistry(t *testing.T) {
 		t.Fatalf("extras = %d, want 5", len(extras))
 	}
 	for _, d := range extras {
-		if d.ID == "" || d.Title == "" || d.ShapeClaim == "" || d.Run == nil {
+		if d.ID == "" || d.Title == "" || d.ShapeClaim == "" || d.claims == nil {
 			t.Errorf("extra %q incomplete", d.ID)
 		}
 	}
@@ -30,7 +30,7 @@ func TestLookupAny(t *testing.T) {
 }
 
 func TestExtraBreakdownStructure(t *testing.T) {
-	fig, err := ExtraBreakdown(tinyOpts())
+	fig, err := def(t, "xbreakdown").Run(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestExtraBreakdownStructure(t *testing.T) {
 }
 
 func TestExtraAblationsOrdering(t *testing.T) {
-	fig, err := ExtraAblations(tinyOpts())
+	fig, err := def(t, "xablations").Run(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestExtrasIDsUnique(t *testing.T) {
 }
 
 func TestExtraStragglersShape(t *testing.T) {
-	fig, err := ExtraStragglers(tinyOpts())
+	fig, err := def(t, "xstragglers").Run(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestExtraStragglersShape(t *testing.T) {
 }
 
 func TestExtraModelErrorShape(t *testing.T) {
-	fig, err := ExtraModelError(tinyOpts())
+	fig, err := def(t, "xmodelerror").Run(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestExtraPhaseCheckAgrees(t *testing.T) {
-	fig, err := ExtraPhaseCheck(tinyOpts())
+	fig, err := def(t, "xphasecheck").Run(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestExtraPhaseCheckAgrees(t *testing.T) {
 }
 
 func TestCheckSpanAgreementRejectsDrift(t *testing.T) {
-	fig, err := ExtraPhaseCheck(tinyOpts())
+	fig, err := def(t, "xphasecheck").Run(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

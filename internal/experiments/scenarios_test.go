@@ -17,8 +17,8 @@ func TestFigureBasesMatchScenarios(t *testing.T) {
 	coord := cluster.Default()
 	coord.Coordination = cluster.CoordMaxOfN
 	coord.MTTFPerNode = cluster.Years(1e12)
-	if got := coordOnlyConfig(); got != coord {
-		t.Errorf("coordOnlyConfig:\ngot  %+v\nwant %+v", got, coord)
+	if got := mustScenarioConfig("coordination-only"); got != coord {
+		t.Errorf("coordination-only:\ngot  %+v\nwant %+v", got, coord)
 	}
 
 	with := cluster.Default()

@@ -257,7 +257,7 @@ type Experiment = experiments.Def
 // Experiments lists every figure reproduction (fig4a–fig4h, fig5–fig8).
 func Experiments() []Experiment { return experiments.All() }
 
-// RunExperiment reproduces one figure by ID (e.g. "fig4a").
+// RunExperiment reproduces one figure by ID (see Experiments).
 func RunExperiment(id string, opts Options) (*Figure, error) {
 	def, err := experiments.Lookup(id)
 	if err != nil {
