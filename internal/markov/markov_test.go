@@ -5,8 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/analytic"
 	"repro/internal/cluster"
-	"repro/internal/failure"
 )
 
 func TestTwoStateChain(t *testing.T) {
@@ -113,14 +113,14 @@ func TestBirthDeathBalance(t *testing.T) {
 
 // TestFigure3MatchesSection6: solving the paper's chain reproduces the
 // conditional follow-on probability p = λc/(λc+µ), and the r↔p conversion
-// of internal/failure agrees with the chain's parameters.
+// of internal/analytic agrees with the chain's parameters.
 func TestFigure3MatchesSection6(t *testing.T) {
 	// The paper's worked example: n=1024, MTTF=25yr, MTTR=10min, p=0.3.
 	n := 1024
 	perNodeRate := 1 / cluster.Years(25)
 	mu := 1 / cluster.Minutes(10)
 	p := 0.3
-	r, err := failure.FactorFromConditionalProb(p, n, perNodeRate, mu)
+	r, err := analytic.FactorFromConditionalProb(p, n, perNodeRate, mu)
 	if err != nil {
 		t.Fatal(err)
 	}
