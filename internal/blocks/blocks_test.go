@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -389,4 +390,58 @@ func stripWallClock(s string) string {
 		s = re.ReplaceAllString(s, `"`+f+`":X`)
 	}
 	return s
+}
+
+// TestWorkRunsEveryBlockExactlyOnce races two Work loops over many fast
+// one-replication blocks. A loop that found a block incomplete can lose
+// the race to a peer that commits and releases it before the claim; the
+// claim must then see the committed journal and skip the block instead of
+// running it a second time.
+func TestWorkRunsEveryBlockExactlyOnce(t *testing.T) {
+	cells := make([]Cell, 4)
+	for i := range cells {
+		cells[i] = Cell{Label: fmt.Sprintf("a=%d", i), X: float64(i), Seed: uint64(20 + i), Replications: 60, Config: cluster.Default()}
+	}
+	m, err := Plan(cells, PlanOptions{Name: "a", BlockSize: 1, Warmup: 10, Measure: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Blocks) < 200 {
+		t.Fatalf("plan has %d blocks, want at least 200", len(m.Blocks))
+	}
+	dir := t.TempDir()
+	if err := CreateRun(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	runs := make([]atomic.Int32, len(m.Blocks))
+	counted := func(ctx context.Context, m *Manifest, b Block) (BlockOutput, error) {
+		runs[b.ID].Add(1)
+		return synthRun(ctx, m, b)
+	}
+	var wg sync.WaitGroup
+	sums := make([]Summary, 2)
+	errs := make([]error, 2)
+	for w := range sums {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sums[w], errs[w] = Work(context.Background(), dir, counted, WorkerOptions{
+				Name: fmt.Sprintf("w%d", w), Poll: time.Millisecond,
+			})
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := range runs {
+		if n := runs[id].Load(); n != 1 {
+			t.Errorf("block %d ran %d times", id, n)
+		}
+	}
+	if got := sums[0].Completed + sums[1].Completed; got != len(m.Blocks) {
+		t.Errorf("workers completed %d blocks, planned %d", got, len(m.Blocks))
+	}
 }

@@ -218,6 +218,16 @@ func Work(ctx context.Context, dir string, run RunFunc, o WorkerOptions) (s Summ
 		logf = func(string, ...any) {}
 	}
 	seenComplete := make([]bool, len(m.Blocks))
+	skip := func(b Block) {
+		if claimedOnce(&seenComplete[b.ID]) {
+			return
+		}
+		s.SkippedComplete++
+		if mSkipped != nil {
+			mSkipped.Inc()
+		}
+		hb.sync(s)
+	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return s, err
@@ -232,14 +242,7 @@ func Work(ctx context.Context, dir string, run RunFunc, o WorkerOptions) (s Summ
 				continue
 			}
 			if BlockComplete(dir, m, b) {
-				if !claimedOnce(&seenComplete[b.ID]) {
-					continue
-				}
-				s.SkippedComplete++
-				if mSkipped != nil {
-					mSkipped.Inc()
-				}
-				hb.sync(s)
+				skip(b)
 				continue
 			}
 			res, err := claim(dir, m, b.ID, o.Name, o.LeaseTTL, time.Now())
@@ -248,6 +251,16 @@ func Work(ctx context.Context, dir string, run RunFunc, o WorkerOptions) (s Summ
 			}
 			if res == claimHeld {
 				remaining++
+				continue
+			}
+			// A peer may have committed the block and released its lease
+			// between the check above and the claim: look again now that
+			// the lease is ours, so the block never runs twice.
+			if BlockComplete(dir, m, b) {
+				if err := release(dir, b.ID); err != nil {
+					return s, err
+				}
+				skip(b)
 				continue
 			}
 			if res == claimReclaimed {
