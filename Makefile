@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-smoke bench-trend cover ci validate-scenarios sweep-resume-smoke obs-smoke provenance-smoke vr-smoke figures figures-paper report examples clean
+.PHONY: all build test vet race bench bench-smoke bench-trend cover ci validate-scenarios sweep-resume-smoke obs-smoke provenance-smoke vr-smoke figures figures-check figures-paper report examples clean
 
 all: build vet test
 
@@ -120,13 +120,23 @@ vr-smoke:
 
 # Everything the GitHub Actions workflow runs (.github/workflows/ci.yml),
 # locally: the tier-1 suite, the race tier, the coverage profile, the
-# scenario-catalog gate, the sweep crash-resume gate, the fleet telemetry
-# gate, the provenance/sentinel gate, and the variance-reduction gate.
-ci: all race cover validate-scenarios sweep-resume-smoke obs-smoke provenance-smoke vr-smoke
+# scenario-catalog gate, the sweep crash-resume gate, the figure gate, the
+# fleet telemetry gate, the provenance/sentinel gate, and the
+# variance-reduction gate.
+ci: all race cover validate-scenarios sweep-resume-smoke figures-check obs-smoke provenance-smoke vr-smoke
 
 # Regenerate every paper figure (quick scale) into results/.
 figures:
 	$(GO) run ./cmd/ccfigures -extras -out results/
+
+# Figure gate: regenerate the quick-scale figures into a temp dir and
+# require them byte-identical to the committed results/ (the figures are
+# seeded and worker-count invariant, so any diff is a real change that
+# needs `make figures`).
+figures-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		$(GO) run ./cmd/ccfigures -extras -out "$$tmp" && \
+		diff -r results "$$tmp" && echo "figures-check: results/ is up to date"
 
 # Paper-scale windows (5 reps × 1000h warmup × 4000h measured) — slow.
 figures-paper:
