@@ -71,7 +71,8 @@ validate-scenarios:
 # plan a sweep into a run directory, race two real worker processes over
 # it, SIGKILL one mid-block, -resume, finish with a fresh worker, -reduce,
 # and require the merged journal to be byte-identical (timestamps aside)
-# to a monolithic single-process run — across two catalog scenarios.
+# to a monolithic single-process run — across two catalog scenarios — and
+# the reduced -work forecast to equal the monolithic one.
 sweep-resume-smoke:
 	$(GO) test -count=1 -run 'TestCrashResumeBitIdentical' -v ./cmd/ccsweep
 	$(GO) test -run 'TestWorkersBitIdentical|TestTornJournalIsIncompleteNotFatal' ./internal/blocks

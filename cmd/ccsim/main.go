@@ -14,8 +14,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/cluster"
-	"repro/internal/configio"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/provenance"
@@ -80,52 +78,9 @@ func run(args []string) error {
 	if *listScenarios {
 		return catalog.WriteList(os.Stdout)
 	}
-	if *scenarioName != "" && *configPath != "" {
-		return fmt.Errorf("-scenario and -config are mutually exclusive")
-	}
-
-	cfg := repro.DefaultConfig()
-	switch {
-	case *scenarioName != "":
-		s, err := catalog.Get(*scenarioName)
-		if err != nil {
-			return err
-		}
-		if cfg, err = s.ClusterConfig(); err != nil {
-			return err
-		}
-	case *configPath != "":
-		f, err := os.Open(*configPath)
-		if err != nil {
-			return err
-		}
-		loaded, err := configio.Load(f)
-		closeErr := f.Close()
-		if err != nil {
-			return err
-		}
-		if closeErr != nil {
-			return closeErr
-		}
-		cfg = loaded
-	}
-
-	// Apply only the flags the user set explicitly, so a -config file or
-	// -scenario is not clobbered by flag defaults; with neither, every
-	// config flag applies.
-	var setErr error
-	apply := func(f *flag.Flag) {
-		if set, err := cluster.ParamSetter(f.Name); err == nil && setErr == nil {
-			setErr = set(&cfg, f.Value.String())
-		}
-	}
-	if *configPath == "" && *scenarioName == "" {
-		fs.VisitAll(apply)
-	} else {
-		fs.Visit(apply)
-	}
-	if setErr != nil {
-		return setErr
+	cfg, err := catalog.BaseConfig(fs, *configPath, *scenarioName)
+	if err != nil {
+		return err
 	}
 	if err := repro.Validate(cfg); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
@@ -26,7 +27,7 @@ func TestMain(m *testing.M) {
 		if hb := os.Getenv("CCSWEEP_E2E_HEARTBEAT"); hb != "" {
 			args = append(args, "-heartbeat-every", hb)
 		}
-		if err := run(args); err != nil {
+		if err := run(args, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "e2e worker:", err)
 			os.Exit(1)
 		}
@@ -36,34 +37,44 @@ func TestMain(m *testing.M) {
 }
 
 // TestCrashResumeBitIdentical is the process-level half of the sweep
-// engine's determinism contract, run across two scenarios: plan a sweep
-// into a run directory, let two real worker processes race over it,
-// SIGKILL one mid-block, repair with -resume, let a fresh worker finish,
-// and require the reduced journal to be byte-identical (timestamp fields
-// aside) to the journal of a monolithic single-process run.
+// engine's determinism contract, run across two scenarios and a
+// completion forecast: plan into a run directory, let two real worker
+// processes race over it, SIGKILL one mid-block, repair with -resume, let
+// a fresh worker finish, and require the reduced output to equal the
+// monolithic run's — and, for the sweeps, the reduced journal to be
+// byte-identical (timestamp fields aside) to the monolithic journal.
 func TestCrashResumeBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process crash test")
 	}
 	for _, scen := range []string{"base", "max-of-n"} {
-		t.Run(scen, func(t *testing.T) { crashResume(t, scen) })
+		t.Run(scen, func(t *testing.T) {
+			crashResume(t, true, "-scenario", scen, "-param", "procs", "-values", "65536,131072",
+				"-reps", "3", "-warmup", "100", "-measure", "30000", "-seed", "42")
+		})
 	}
+	t.Run("completion", func(t *testing.T) {
+		crashResume(t, false, "-work", "200000", "-values", "65536,131072", "-reps", "3", "-seed", "42")
+	})
 }
 
-func crashResume(t *testing.T, scen string) {
+func crashResume(t *testing.T, journals bool, sweep ...string) {
 	dir := t.TempDir()
 	runDir := filepath.Join(dir, "run")
 	mono := filepath.Join(dir, "mono.jsonl")
 	reduced := filepath.Join(dir, "reduced.jsonl")
-	sweep := []string{"-scenario", scen, "-param", "procs", "-values", "65536,131072",
-		"-reps", "3", "-warmup", "100", "-measure", "30000", "-seed", "42"}
 
 	// Reference: the monolithic run.
-	if err := run(append(sweep, "-journal", mono)); err != nil {
+	monoArgs := sweep
+	if journals {
+		monoArgs = append(sweep, "-journal", mono)
+	}
+	var monoOut, reducedOut bytes.Buffer
+	if err := run(monoArgs, &monoOut); err != nil {
 		t.Fatal(err)
 	}
-	// Plan the identical sweep into a shared run directory.
-	if err := run(append(sweep, "-manifest", runDir, "-block-size", "1")); err != nil {
+	// Plan the identical run into a shared run directory.
+	if err := run(append(sweep, "-manifest", runDir, "-block-size", "1"), os.Stdout); err != nil {
 		t.Fatal(err)
 	}
 
@@ -81,7 +92,7 @@ func crashResume(t *testing.T, scen string) {
 	// (torn journal, expired lease, temp files); the rescuer re-runs any
 	// reclaimed blocks. Both are no-ops when the survivor already
 	// reclaimed everything — the output must be identical either way.
-	if err := run([]string{"-resume", runDir}); err != nil {
+	if err := run([]string{"-resume", runDir}, os.Stdout); err != nil {
 		t.Fatal(err)
 	}
 	rescuer := workerProc(t, runDir, "rescuer")
@@ -89,8 +100,14 @@ func crashResume(t *testing.T, scen string) {
 		t.Fatalf("rescuer worker: %v", err)
 	}
 
-	if err := run([]string{"-reduce", runDir, "-journal", reduced}); err != nil {
+	if err := run([]string{"-reduce", runDir, "-journal", reduced}, &reducedOut); err != nil {
 		t.Fatal(err)
+	}
+	if reducedOut.String() != monoOut.String() {
+		t.Errorf("reduced output differs from monolithic run\nmonolithic:\n%s\nreduced:\n%s", &monoOut, &reducedOut)
+	}
+	if !journals {
+		return
 	}
 	want, got := readStripped(t, mono), readStripped(t, reduced)
 	if want != got {

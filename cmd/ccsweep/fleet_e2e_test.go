@@ -34,7 +34,7 @@ func TestFleetTelemetryEndToEnd(t *testing.T) {
 	runDir := filepath.Join(dir, "run")
 	if err := run([]string{"-param", "procs", "-values", "65536,131072",
 		"-reps", "2", "-warmup", "100", "-measure", "20000", "-seed", "7",
-		"-manifest", runDir, "-block-size", "1"}); err != nil {
+		"-manifest", runDir, "-block-size", "1"}, os.Stdout); err != nil {
 		t.Fatal(err)
 	}
 	const hbEvery = 50 * time.Millisecond

@@ -6,17 +6,26 @@
 //	ccsweep -param mttf-years -values 0.5,1,2,4 -procs 131072
 //	ccsweep -param timeout-sec -values 20,60,100,120 -coordination max-of-n
 //
+// With -work H it forecasts, per row, the wall-clock completion time of a
+// job needing H hours of useful work instead (mean, quantiles and stretch
+// factor over independent replications of the cycle engine):
+//
+//	ccsweep -work 5000 -values 65536,131072 -reps 10
+//	ccsweep -work 5000 -config machine.json -param mttf-years -values 1
+//
 // A sweep can also run as a resumable, multi-process job through a shared
 // run directory (see internal/blocks): plan it once, point any number of
 // worker processes — on any machines sharing the directory — at it, and
 // reduce when done. The reduced output is bit-identical to the monolithic
 // run above (timestamps aside), no matter how many workers ran or crashed.
+// The manifest records whether it holds a sweep or a forecast, so the
+// verbs need no flag to tell them apart.
 //
 //	ccsweep -param procs -values 8192,16384 -manifest run/   # plan
 //	ccsweep -worker run/            # claim blocks until the sweep is done
 //	ccsweep -status run/            # inspect progress (-json for machines)
 //	ccsweep -resume run/            # repair after a crash (torn journals)
-//	ccsweep -reduce run/            # merge journals, print the table
+//	ccsweep -reduce run/            # merge journals, print the table or forecast
 //
 // A live run's telemetry lives in the directory too: each worker drops a
 // periodic heartbeat snapshot (progress, metrics registry, flight
@@ -45,6 +54,7 @@ import (
 	"repro"
 	"repro/internal/blocks"
 	"repro/internal/cluster"
+	"repro/internal/cyclesim"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/scenario"
@@ -53,17 +63,19 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ccsweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ccsweep", flag.ContinueOnError)
 	var (
 		param         = fs.String("param", "procs", "parameter to sweep: "+strings.Join(cluster.ParamNames(), ", "))
 		values        = fs.String("values", "", "comma-separated values (required)")
+		work          = fs.Float64("work", 0, "forecast the completion time of a job needing this many hours of useful work, one forecast per row, instead of sweeping the steady state (0 = sweep)")
+		configPath    = fs.String("config", "", "base the sweep on a JSON configuration file (flags given explicitly override it)")
 		scenarioName  = fs.String("scenario", "", "base the sweep on a named scenario (see -list-scenarios; flags given explicitly override it)")
 		scenarioDir   = fs.String("scenario-dir", "", "directory of scenario files extending/overriding the built-in catalog")
 		listScenarios = fs.Bool("list-scenarios", false, "list the scenario catalog and exit")
@@ -85,11 +97,11 @@ func run(args []string) error {
 		leaseTTL     = fs.Duration("lease-ttl", 10*time.Minute, "block lease time-to-live; a crashed worker's blocks are reclaimed after this long")
 		resumeDir    = fs.String("resume", "", "repair this run directory after a crash (drop torn journals, clear expired leases) and exit")
 		statusDir    = fs.String("status", "", "print this run directory's progress and exit")
-		reduceDir    = fs.String("reduce", "", "merge this run directory's block journals and print the sweep table")
+		reduceDir    = fs.String("reduce", "", "merge this run directory's block journals and print the sweep table or forecast")
 		jsonOut      = fs.Bool("json", false, "with -status: emit machine-readable JSON instead of the table")
 		fleetDir     = fs.String("fleet", "", "print this run directory's fleet view (worker heartbeats fused with block status) as JSON and exit")
 		timelineDir  = fs.String("timeline", "", "write this run directory's span timeline as Chrome trace-event JSON to stdout (load in Perfetto)")
-		hbEvery      = fs.Duration("heartbeat-every", time.Second, "worker telemetry snapshot cadence for heartbeats/<worker>.json; negative disables")
+		hbEvery      = fs.Duration("heartbeat-every", time.Second, "worker telemetry snapshot cadence for heartbeats/<worker>.json; negative (e.g. -1s) disables")
 		profileDir   = fs.String("profile-dir", "", "with -worker: where profile captures land (default <run>/profiles; 'off' disables)")
 		profileEvery = fs.Duration("profile-every", 0, "with -worker: also capture profiles at this interval (0 = straggler auto-trigger only)")
 	)
@@ -108,7 +120,7 @@ func run(args []string) error {
 		return err
 	}
 	if *listScenarios {
-		return catalog.WriteList(os.Stdout)
+		return catalog.WriteList(stdout)
 	}
 
 	var reg *repro.MetricsRegistry
@@ -127,24 +139,24 @@ func run(args []string) error {
 	// Run-directory verbs need no sweep definition — the manifest carries it.
 	switch {
 	case *workerDir != "":
-		return workCmd(*workerDir, *workers, *workerName, *leaseTTL, *hbEvery, reg, *metrics, *profileDir, *profileEvery)
+		return workCmd(*workerDir, stdout, *workers, *workerName, *leaseTTL, *hbEvery, reg, *metrics, *profileDir, *profileEvery)
 	case *resumeDir != "":
-		return resumeCmd(*resumeDir, os.Stdout)
+		return resumeCmd(*resumeDir, stdout)
 	case *statusDir != "":
 		m, st, err := blocks.Scan(*statusDir, time.Now())
 		if err != nil {
 			return err
 		}
 		if *jsonOut {
-			return blocks.WriteStatusJSON(os.Stdout, m, st)
+			return blocks.WriteStatusJSON(stdout, m, st)
 		}
-		return blocks.WriteStatus(os.Stdout, m, st)
+		return blocks.WriteStatus(stdout, m, st)
 	case *fleetDir != "":
-		return fleetCmd(*fleetDir, os.Stdout)
+		return fleetCmd(*fleetDir, stdout)
 	case *timelineDir != "":
-		return blocks.WriteTimeline(os.Stdout, *timelineDir, time.Now())
+		return blocks.WriteTimeline(stdout, *timelineDir, time.Now())
 	case *reduceDir != "":
-		return reduceCmd(*reduceDir, *journalPath, os.Stdout)
+		return reduceCmd(*reduceDir, *journalPath, stdout)
 	}
 
 	if *values == "" {
@@ -154,40 +166,30 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	if *work < 0 {
+		return fmt.Errorf("-work %v must be positive", *work)
+	}
+	if *work > 0 && mode != vr.ModeNone {
+		// Completion replications have no reflected leg to pair with.
+		return fmt.Errorf("-vr %s does not apply to -work forecasts", mode)
+	}
 	if mode == vr.ModeAntithetic && *reps%2 == 1 {
 		// Pairs need an even count; complete the last pair like ccsim does.
 		*reps++
 	}
 
-	base := repro.DefaultConfig()
-	if *scenarioName != "" {
-		s, err := catalog.Get(*scenarioName)
-		if err != nil {
-			return err
-		}
-		if base, err = s.ClusterConfig(); err != nil {
-			return err
-		}
+	// -r joins the base only when sweeping pe or alpha.
+	base, err := catalog.BaseConfig(fs, *configPath, *scenarioName, "r")
+	if err == nil && (*param == "pe" || *param == "alpha") {
+		err = cluster.SetParam(&base, "r", strconv.FormatFloat(*rFactor, 'g', -1, 64))
 	}
-	// With a scenario base, apply only the flags the user set explicitly so
-	// flag defaults don't clobber it; without one, every base flag applies,
-	// as before. -r joins the base only when sweeping pe or alpha.
-	var setErr error
-	apply := func(f *flag.Flag) {
-		if set, err := cluster.ParamSetter(f.Name); err == nil && setErr == nil && f.Name != "r" {
-			setErr = set(&base, f.Value.String())
-		}
+	if err != nil {
+		return err
 	}
-	if *scenarioName == "" {
-		fs.VisitAll(apply)
-	} else {
-		fs.Visit(apply)
-	}
-	if setErr == nil && (*param == "pe" || *param == "alpha") {
-		setErr = cluster.SetParam(&base, "r", strconv.FormatFloat(*rFactor, 'g', -1, 64))
-	}
-	if setErr != nil {
-		return setErr
+	if *work > 0 {
+		// The completion engine requires the cycle envelope.
+		base.ComputeFraction = 1
+		base.NoIOFailures = true
 	}
 	setParam, err := cluster.ParamSetter(*param)
 	if err != nil {
@@ -233,7 +235,14 @@ func run(args []string) error {
 		Seed: *seed, Workers: *workers, Metrics: reg,
 		VarianceReduction: mode,
 	}
-	m, err := runner.PlanGrid(*param, cells, *blockSize, opts)
+	var m *blocks.Manifest
+	if *work > 0 {
+		m, err = blocks.Plan(cells, blocks.PlanOptions{
+			Name: *param, Kind: blocks.KindCompletion, Work: *work, BlockSize: *blockSize,
+		})
+	} else {
+		m, err = runner.PlanGrid(*param, cells, *blockSize, opts)
+	}
 	if err != nil {
 		return err
 	}
@@ -242,11 +251,25 @@ func run(args []string) error {
 		if err := blocks.CreateRun(*manifestDir, m); err != nil {
 			return err
 		}
-		fmt.Printf("planned %s: %d cells x %d reps = %d blocks (size %d)\n",
+		fmt.Fprintf(stdout, "planned %s: %d cells x %d reps = %d blocks (size %d)\n",
 			*param, len(m.Cells), *reps, len(m.Blocks), m.BlockSize)
-		fmt.Printf("manifest %s\n", m.Hash)
-		fmt.Printf("run 'ccsweep -worker %s' (any number of processes), then 'ccsweep -reduce %s'\n",
+		fmt.Fprintf(stdout, "manifest %s\n", m.Hash)
+		fmt.Fprintf(stdout, "run 'ccsweep -worker %s' (any number of processes), then 'ccsweep -reduce %s'\n",
 			*manifestDir, *manifestDir)
+		return nil
+	}
+
+	if *work > 0 {
+		if *journalPath != "" {
+			return fmt.Errorf("-journal needs a -manifest run for -work forecasts; '-reduce <run> -journal' writes the merged journal")
+		}
+		for _, c := range m.Cells {
+			comp, err := repro.JobCompletionTime(c.Config, m.Work, c.Replications, c.Seed)
+			if err != nil {
+				return fmt.Errorf("value %v: %w", c.X, err)
+			}
+			writeForecast(stdout, c, comp)
+		}
 		return nil
 	}
 
@@ -281,9 +304,9 @@ func run(args []string) error {
 		}
 	}
 
-	fmt.Printf("%-16s %-24s %-24s\n", *param, "useful work fraction", "total useful work")
+	fmt.Fprintf(stdout, "%-16s %-24s %-24s\n", *param, "useful work fraction", "total useful work")
 	for i, r := range results {
-		fmt.Printf("%-16g %-24v %-24v\n", vals[i], r.UsefulWorkFraction, r.TotalUsefulWork)
+		fmt.Fprintf(stdout, "%-16g %-24v %-24v\n", vals[i], r.UsefulWorkFraction, r.TotalUsefulWork)
 	}
 	if *metrics {
 		fmt.Fprintln(os.Stderr, "telemetry")
@@ -293,7 +316,7 @@ func run(args []string) error {
 }
 
 // workCmd runs one worker process against a shared run directory.
-func workCmd(dir string, workers int, name string, ttl, hbEvery time.Duration, reg *repro.MetricsRegistry, printMetrics bool, profileDir string, profileEvery time.Duration) error {
+func workCmd(dir string, stdout io.Writer, workers int, name string, ttl, hbEvery time.Duration, reg *repro.MetricsRegistry, printMetrics bool, profileDir string, profileEvery time.Duration) error {
 	if reg == nil {
 		// Workers always collect block telemetry; it feeds -status wall
 		// stats (via trailers), the heartbeat snapshots, and, with
@@ -319,7 +342,7 @@ func workCmd(dir string, workers int, name string, ttl, hbEvery time.Duration, r
 	if err != nil {
 		return err
 	}
-	fmt.Printf("worker %s done: %d blocks completed (%d reclaimed from crashed peers, %d already done), %d events\n",
+	fmt.Fprintf(stdout, "worker %s done: %d blocks completed (%d reclaimed from crashed peers, %d already done), %d events\n",
 		sum.Worker, sum.Completed, sum.Reclaimed, sum.SkippedComplete, sum.Events)
 	if printMetrics {
 		fmt.Fprintln(os.Stderr, "telemetry")
@@ -374,8 +397,8 @@ func resumeCmd(dir string, w io.Writer) error {
 	return nil
 }
 
-// reduceCmd merges the block journals and prints the same table a
-// monolithic run prints.
+// reduceCmd merges the block journals and prints the same table — or,
+// for a completion manifest, the same forecasts — a monolithic run prints.
 func reduceCmd(dir, journalPath string, w io.Writer) error {
 	m, cells, err := blocks.Reduce(dir)
 	if err != nil {
@@ -398,12 +421,29 @@ func reduceCmd(dir, journalPath string, w io.Writer) error {
 			return err
 		}
 	}
+	if m.Kind == blocks.KindCompletion {
+		for _, c := range cells {
+			writeForecast(w, c.Cell, cyclesim.FoldCompletion(m.Work, c.FlatValues(), m.Confidence))
+		}
+		return nil
+	}
 	fmt.Fprintf(w, "%-16s %-24s %-24s\n", m.Name, "useful work fraction", "total useful work")
 	for _, c := range cells {
 		fmt.Fprintf(w, "%-16g %-24v %-24v\n", c.Cell.X,
 			reducedCI(c.FlatValues(), m), reducedCI(c.Totals, m))
 	}
 	return nil
+}
+
+// writeForecast renders one row's completion forecast — one function shared
+// by the monolithic path and -reduce, so the two outputs cannot drift.
+func writeForecast(w io.Writer, c blocks.Cell, comp repro.Completion) {
+	fmt.Fprintf(w, "forecast            %s\n", c.Label)
+	fmt.Fprintf(w, "job                 %.0f h of useful work on %d processors\n", comp.Work, c.Config.Processors)
+	fmt.Fprintf(w, "expected completion %v h\n", comp.Mean)
+	fmt.Fprintf(w, "stretch factor      %.2fx over a failure-free machine\n", comp.Stretch())
+	fmt.Fprintf(w, "quantiles           p10 %.0f | p50 %.0f | p90 %.0f h\n",
+		comp.Quantile(0.1), comp.Quantile(0.5), comp.Quantile(0.9))
 }
 
 // reducedCI folds one cell's per-replication values into the interval the

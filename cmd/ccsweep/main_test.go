@@ -17,7 +17,7 @@ func quickArgs(extra ...string) []string {
 }
 
 func TestSweepProcs(t *testing.T) {
-	if err := run(quickArgs("-param", "procs", "-values", "8192,16384")); err != nil {
+	if err := run(quickArgs("-param", "procs", "-values", "8192,16384"), os.Stdout); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -33,7 +33,7 @@ func TestSweepEveryParameter(t *testing.T) {
 		"alpha":        "0,0.001",
 	}
 	for param, values := range cases {
-		if err := run(quickArgs("-param", param, "-values", values)); err != nil {
+		if err := run(quickArgs("-param", param, "-values", values), os.Stdout); err != nil {
 			t.Fatalf("param %s: %v", param, err)
 		}
 	}
@@ -41,53 +41,53 @@ func TestSweepEveryParameter(t *testing.T) {
 
 func TestSweepCoordinationModes(t *testing.T) {
 	for _, mode := range []string{"fixed", "none", "max-of-n"} {
-		if err := run(quickArgs("-param", "procs", "-values", "8192", "-coordination", mode)); err != nil {
+		if err := run(quickArgs("-param", "procs", "-values", "8192", "-coordination", mode), os.Stdout); err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
 	}
 }
 
 func TestSweepParallelRows(t *testing.T) {
-	if err := run(quickArgs("-param", "procs", "-values", "8192,16384,32768", "-workers", "3")); err != nil {
+	if err := run(quickArgs("-param", "procs", "-values", "8192,16384,32768", "-workers", "3"), os.Stdout); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSweepRejectsBadValueBeforeSimulating(t *testing.T) {
-	err := run(quickArgs("-param", "procs", "-values", "8192,-5"))
+	err := run(quickArgs("-param", "procs", "-values", "8192,-5"), os.Stdout)
 	if err == nil || !strings.Contains(err.Error(), "-5") {
 		t.Fatalf("invalid row accepted: %v", err)
 	}
 }
 
 func TestSweepRequiresValues(t *testing.T) {
-	err := run([]string{"-param", "procs"})
+	err := run([]string{"-param", "procs"}, os.Stdout)
 	if err == nil || !strings.Contains(err.Error(), "-values") {
 		t.Fatalf("missing values accepted: %v", err)
 	}
 }
 
 func TestSweepRejectsUnknownParam(t *testing.T) {
-	err := run(quickArgs("-param", "magic", "-values", "1"))
+	err := run(quickArgs("-param", "magic", "-values", "1"), os.Stdout)
 	if err == nil || !strings.Contains(err.Error(), "unknown parameter") {
 		t.Fatalf("unknown parameter accepted: %v", err)
 	}
 }
 
 func TestSweepRejectsBadValue(t *testing.T) {
-	if err := run(quickArgs("-param", "procs", "-values", "banana")); err == nil {
+	if err := run(quickArgs("-param", "procs", "-values", "banana"), os.Stdout); err == nil {
 		t.Fatal("non-numeric value accepted")
 	}
 }
 
 func TestSweepRejectsInvalidConfigValue(t *testing.T) {
-	if err := run(quickArgs("-param", "procs", "-values", "-1")); err == nil {
+	if err := run(quickArgs("-param", "procs", "-values", "-1"), os.Stdout); err == nil {
 		t.Fatal("invalid processor count accepted")
 	}
 }
 
 func TestSweepRejectsBadMode(t *testing.T) {
-	if err := run(quickArgs("-coordination", "nope", "-values", "1")); err == nil {
+	if err := run(quickArgs("-coordination", "nope", "-values", "1"), os.Stdout); err == nil {
 		t.Fatal("bad coordination mode accepted")
 	}
 }
@@ -100,7 +100,7 @@ func TestSweepJournalDeterministicAcrossWorkers(t *testing.T) {
 	sweep := func(workers, path string) []map[string]any {
 		t.Helper()
 		err := run(quickArgs("-param", "procs", "-values", "4096,8192",
-			"-reps", "2", "-workers", workers, "-journal", path))
+			"-reps", "2", "-workers", workers, "-journal", path), os.Stdout)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestSweepJournalDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestSweepMetricsTable(t *testing.T) {
-	if err := run(quickArgs("-param", "procs", "-values", "4096", "-metrics")); err != nil {
+	if err := run(quickArgs("-param", "procs", "-values", "4096", "-metrics"), os.Stdout); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -144,14 +144,14 @@ func TestSweepScenarioBase(t *testing.T) {
 	err := run([]string{
 		"-scenario", "weibull-field", "-param", "procs", "-values", "8192,16384",
 		"-reps", "1", "-warmup", "10", "-measure", "50",
-	})
+	}, os.Stdout)
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSweepListScenarios(t *testing.T) {
-	if err := run([]string{"-list-scenarios"}); err != nil {
+	if err := run([]string{"-list-scenarios"}, os.Stdout); err != nil {
 		t.Fatal(err)
 	}
 }

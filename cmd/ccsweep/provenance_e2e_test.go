@@ -31,7 +31,7 @@ func TestProvenanceAndProfilesEndToEnd(t *testing.T) {
 	runDir := filepath.Join(dir, "run")
 	if err := run([]string{"-param", "procs", "-values", "65536,131072",
 		"-reps", "2", "-warmup", "100", "-measure", "20000", "-seed", "11",
-		"-manifest", runDir, "-block-size", "1"}); err != nil {
+		"-manifest", runDir, "-block-size", "1"}, os.Stdout); err != nil {
 		t.Fatal(err)
 	}
 	m, err := blocks.LoadManifest(runDir)

@@ -336,7 +336,7 @@ func lastFlight(hb blocks.Heartbeat) string {
 }
 
 // blocksLine renders the sweep-block telemetry a distributed worker
-// (ccsweep/ccjob -worker) publishes: claim/complete progress against the
+// (ccsweep -worker) publishes: claim/complete progress against the
 // plan, crash reclaims, and the per-block wall-time distribution. Empty
 // when the process runs no block engine (no blocks.* counters), so
 // monolithic dashboards are unchanged.

@@ -18,10 +18,9 @@ import (
 	"os"
 	"strings"
 
-	"repro"
-	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/phasetrace"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -35,17 +34,19 @@ func main() {
 func run(args []string, stdout *os.File) error {
 	fs := flag.NewFlagSet("cctrace", flag.ContinueOnError)
 	var (
-		procs     = fs.Int("procs", 65536, "total compute processors")
-		mttfYears = fs.Float64("mttf-years", 1, "per-node MTTF in years")
-		horizon   = fs.Float64("horizon", 100, "simulated hours to trace")
-		seed      = fs.Uint64("seed", 1, "random seed")
-		only      = fs.String("only", "", "comma-separated activity names to keep (default: all)")
-		marking   = fs.Bool("marking", false, "include the non-empty marking in each event")
-		summary   = fs.Bool("summary", false, "print per-activity counts instead of events")
-		spans     = fs.Bool("spans", false, "emit phase spans (computation/rework/quiesce/dump/fswait/recovery/downtime) instead of raw firings")
-		chrome    = fs.String("chrome", "", "with -spans: write the timeline as Chrome trace-event JSON to this file (open in ui.perfetto.dev)")
-		fullscan  = fs.Bool("fullscan", false, "use the full-rescan scheduler instead of the incremental one (debugging; traces are bit-identical)")
+		horizon  = fs.Float64("horizon", 100, "simulated hours to trace")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		only     = fs.String("only", "", "comma-separated activity names to keep (default: all)")
+		marking  = fs.Bool("marking", false, "include the non-empty marking in each event")
+		summary  = fs.Bool("summary", false, "print per-activity counts instead of events")
+		spans    = fs.Bool("spans", false, "emit phase spans (computation/rework/quiesce/dump/fswait/recovery/downtime) instead of raw firings")
+		chrome   = fs.String("chrome", "", "with -spans: write the timeline as Chrome trace-event JSON to this file (open in ui.perfetto.dev)")
+		fullscan = fs.Bool("fullscan", false, "use the full-rescan scheduler instead of the incremental one (debugging; traces are bit-identical)")
 	)
+	// Configuration flags, applied by name through the parameter
+	// vocabulary (cluster.SetParam).
+	fs.Int("procs", 65536, "total compute processors")
+	fs.Float64("mttf-years", 1, "per-node MTTF in years")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -53,9 +54,10 @@ func run(args []string, stdout *os.File) error {
 		return fmt.Errorf("-chrome requires -spans")
 	}
 
-	cfg := cluster.Default()
-	cfg.Processors = *procs
-	cfg.MTTFPerNode = repro.Years(*mttfYears)
+	cfg, err := scenario.New().BaseConfig(fs, "", "")
+	if err != nil {
+		return err
+	}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -109,7 +111,7 @@ func run(args []string, stdout *os.File) error {
 			if err != nil {
 				return err
 			}
-			if err := tl.WriteChrome(f, fmt.Sprintf("cctrace procs=%d seed=%d", *procs, *seed)); err != nil {
+			if err := tl.WriteChrome(f, fmt.Sprintf("cctrace procs=%d seed=%d", cfg.Processors, *seed)); err != nil {
 				f.Close()
 				return err
 			}

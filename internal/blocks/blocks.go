@@ -38,7 +38,7 @@ const (
 	// warmup + measurement window, per-replication useful-work metrics.
 	KindEstimate = "estimate"
 	// KindCompletion blocks run job completion-time replications
-	// (cyclesim.JobCompletion): simulate until the job's work is done.
+	// (cyclesim.CompletionRun): simulate until the job's work is done.
 	KindCompletion = "completion"
 )
 
@@ -202,8 +202,8 @@ func Plan(cells []Cell, o PlanOptions) (*Manifest, error) {
 	if o.BlockSize < 1 {
 		return nil, fmt.Errorf("blocks: block size %d < 1", o.BlockSize)
 	}
-	if o.VR != VRNone && o.VR != VRAntithetic {
-		return nil, fmt.Errorf("blocks: unknown VR mode %q (want %q or %q)", o.VR, VRNone, VRAntithetic)
+	if err := checkVR(o.Kind, o.VR); err != nil {
+		return nil, err
 	}
 	if o.VR == VRAntithetic && o.BlockSize%2 == 1 {
 		// A block boundary must never split a (plain, reflected) pair: the
@@ -258,6 +258,20 @@ func Plan(cells []Cell, o PlanOptions) (*Manifest, error) {
 	return m, nil
 }
 
+// checkVR rejects VR modes the kind cannot run. Antithetic pairs give a
+// completion plan (s, s) seed pairs, which the completion runner — it has
+// no reflected leg — would run as identical replications, reporting an
+// interval narrower than the data supports.
+func checkVR(kind, mode string) error {
+	if mode != VRNone && mode != VRAntithetic {
+		return fmt.Errorf("blocks: unknown VR mode %q (want %q or %q)", mode, VRNone, VRAntithetic)
+	}
+	if mode == VRAntithetic && kind == KindCompletion {
+		return fmt.Errorf("blocks: %s manifests cannot run %s VR (their replications have no reflected leg)", kind, mode)
+	}
+	return nil
+}
+
 // computeHash content-addresses the manifest: sha256 over its canonical
 // JSON encoding with the Hash and Provenance fields blanked (both are
 // about the plan, not of it).
@@ -288,8 +302,8 @@ func (m *Manifest) validate() error {
 	if got := m.computeHash(); got != m.Hash {
 		return fmt.Errorf("blocks: manifest hash mismatch: recorded %s, content %s (file edited or corrupt?)", m.Hash, got)
 	}
-	if m.VR != VRNone && m.VR != VRAntithetic {
-		return fmt.Errorf("blocks: unknown manifest VR mode %q", m.VR)
+	if err := checkVR(m.Kind, m.VR); err != nil {
+		return err
 	}
 	next := make([]int, len(m.Cells))
 	lastCell := 0

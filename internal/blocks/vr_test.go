@@ -100,3 +100,33 @@ func TestValidateRejectsSplitPairs(t *testing.T) {
 		t.Fatal("mismatched pair seeds passed validation")
 	}
 }
+
+// Completion replications have no reflected leg, so an antithetic
+// completion plan would run each (s, s) seed pair as two identical
+// replications and report an interval narrower than the data supports.
+// Plan refuses it, and so does validation of a manifest built by hand.
+func TestCompletionRejectsAntithetic(t *testing.T) {
+	opts := PlanOptions{Name: "job", Kind: KindCompletion, Work: 100, VR: VRAntithetic}
+	if _, err := Plan(vrCells(4), opts); err == nil || !strings.Contains(err.Error(), "reflected leg") {
+		t.Fatalf("antithetic completion plan accepted: %v", err)
+	}
+	opts.VR = VRNone
+	m, err := Plan(vrCells(4), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paired := *m
+	paired.VR = VRAntithetic
+	paired.Blocks = []Block{{ID: 0, CellIndex: 0, Seeds: PairedReplicationSeeds(11, 4)}}
+	paired.Hash = paired.computeHash()
+	if err := paired.validate(); err == nil || !strings.Contains(err.Error(), "reflected leg") {
+		t.Fatalf("antithetic completion manifest passed validation: %v", err)
+	}
+	anti, err := Plan(vrCells(4), PlanOptions{Name: "sweep", VR: VRAntithetic})
+	if err != nil {
+		t.Fatalf("antithetic estimate plan rejected: %v", err)
+	}
+	if err := anti.validate(); err != nil {
+		t.Fatalf("antithetic estimate manifest fails validation: %v", err)
+	}
+}

@@ -21,8 +21,8 @@ import (
 // RunFunc executes one claimed block and returns its replication records.
 // Implementations must be pure functions of (manifest, block) — every seed
 // the block needs is in b.Seeds — so that any worker, on any machine, at
-// any time produces identical records. internal/runner provides the
-// estimate-kind implementation; cmd/ccjob provides the completion kind.
+// any time produces identical records. runner.BlockRunner implements it
+// for both manifest kinds.
 type RunFunc func(ctx context.Context, m *Manifest, b Block) (BlockOutput, error)
 
 // WorkerOptions configures a Work loop.

@@ -70,6 +70,32 @@ func (c Completion) Stretch() float64 {
 	return c.Mean.Mean / c.Work
 }
 
+// CompletionRun simulates one replication of a job needing `work` hours
+// of useful work under the given seed and returns its wall-clock
+// completion time. The wall bound is generous: even a machine retaining
+// 0.1% of its time finishes within work×1000.
+func CompletionRun(cfg cluster.Config, work float64, seed uint64) (float64, error) {
+	s, err := New(cfg, seed)
+	if err != nil {
+		return 0, err
+	}
+	return s.CompletionTime(work, work*1000)
+}
+
+// FoldCompletion summarises per-replication completion times, given in
+// replication order, at the confidence level. The interval accumulates in
+// that order, so any caller holding the same samples — a monolithic run
+// or a reduced run directory — gets the same bits.
+func FoldCompletion(work float64, samples []float64, level float64) Completion {
+	var acc stats.Accumulator
+	for _, v := range samples {
+		acc.Add(v)
+	}
+	sorted := append([]float64(nil), samples...)
+	sort.Float64s(sorted)
+	return Completion{Mean: acc.CI(level), Samples: sorted, Work: work}
+}
+
 // JobCompletion estimates the completion-time distribution of a job
 // needing `work` hours of useful work, over the given number of
 // replications. The configuration must be inside the cycle engine's
@@ -79,24 +105,13 @@ func JobCompletion(cfg cluster.Config, work float64, replications int, seed uint
 		return Completion{}, fmt.Errorf("cyclesim: replications %d < 1", replications)
 	}
 	root := rng.New(seed)
-	var acc stats.Accumulator
-	out := Completion{Work: work, Samples: make([]float64, 0, replications)}
-	// Generous wall bound: even a machine retaining 0.1% of its time
-	// finishes within work×1000.
-	maxWall := work * 1000
-	for r := 0; r < replications; r++ {
-		s, err := New(cfg, root.Uint64())
+	samples := make([]float64, replications)
+	for r := range samples {
+		wall, err := CompletionRun(cfg, work, root.Uint64())
 		if err != nil {
 			return Completion{}, err
 		}
-		wall, err := s.CompletionTime(work, maxWall)
-		if err != nil {
-			return Completion{}, err
-		}
-		acc.Add(wall)
-		out.Samples = append(out.Samples, wall)
+		samples[r] = wall
 	}
-	sort.Float64s(out.Samples)
-	out.Mean = acc.CI(0.95)
-	return out, nil
+	return FoldCompletion(work, samples, 0.95), nil
 }

@@ -2,11 +2,12 @@ package runner
 
 // This file is the glue between the estimation loop and the
 // internal/blocks sweep engine. PlanGrid turns a multi-cell sweep into a
-// content-hashed manifest, BlockRunner executes one claimed block with
-// exactly the record schema the monolithic journal writer uses, and
-// EstimateGrid is the monolithic mode — the whole plan claimed and reduced
-// inside one process, which is what ccsweep and the experiments grid run
-// and what the distributed path must reproduce bit for bit.
+// content-hashed manifest, BlockRunner executes one claimed block of
+// either manifest kind with exactly the record schema the monolithic
+// journal writer uses, and EstimateGrid is the monolithic mode — the
+// whole plan claimed and reduced inside one process, which is what
+// ccsweep and the experiments grid run and what the distributed path must
+// reproduce bit for bit.
 
 import (
 	"context"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/blocks"
+	"repro/internal/cyclesim"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/vr"
@@ -53,15 +55,19 @@ func PlanGrid(name string, cells []blocks.Cell, blockSize int, opts Options) (*b
 	})
 }
 
-// BlockRunner returns the estimate-kind blocks.RunFunc: it executes one
-// claimed block's replications with the seeds the manifest pre-assigned
-// and hands back records built by the same repFields the monolithic
-// journal writer uses — which is the whole byte-identity argument at the
-// record level. workers bounds in-block parallelism (0/1 sequential,
-// negative one per CPU); metrics, when non-nil, receives the same
-// runner.*/des.* telemetry a monolithic run records.
+// BlockRunner returns the blocks.RunFunc for both manifest kinds: it
+// executes one claimed block's replications with the seeds the manifest
+// pre-assigned. Estimate blocks hand back records built by the same
+// repFields the monolithic journal writer uses — which is the whole
+// byte-identity argument at the record level; completion blocks go to
+// completionBlock. workers bounds in-block parallelism of estimate blocks
+// (0/1 sequential, negative one per CPU); metrics, when non-nil, receives
+// the same runner.*/des.* telemetry a monolithic run records.
 func BlockRunner(workers int, metrics *obs.Registry) blocks.RunFunc {
 	return func(ctx context.Context, m *blocks.Manifest, b blocks.Block) (blocks.BlockOutput, error) {
+		if m.Kind == blocks.KindCompletion {
+			return completionBlock(ctx, m, b)
+		}
 		if m.Kind != blocks.KindEstimate {
 			return blocks.BlockOutput{}, fmt.Errorf("runner: cannot run %q blocks", m.Kind)
 		}
@@ -118,6 +124,30 @@ func BlockRunner(workers int, metrics *obs.Registry) blocks.RunFunc {
 		}
 		return out, nil
 	}
+}
+
+// completionBlock runs one claimed completion-kind block: one
+// cyclesim.CompletionRun per pre-assigned seed, in order — the loop
+// cyclesim.JobCompletion runs — so the reduced samples fold to the
+// monolithic forecast bit for bit.
+func completionBlock(ctx context.Context, m *blocks.Manifest, b blocks.Block) (blocks.BlockOutput, error) {
+	cell := m.Cells[b.CellIndex]
+	out := blocks.BlockOutput{Records: make([]blocks.Record, len(b.Seeds))}
+	for i, seed := range b.Seeds {
+		if err := ctx.Err(); err != nil {
+			return blocks.BlockOutput{}, err
+		}
+		wall, err := cyclesim.CompletionRun(cell.Config, m.Work, seed)
+		if err != nil {
+			return blocks.BlockOutput{}, err
+		}
+		fields := map[string]any{"rep": b.RepStart + i, "seed": seed, "wall_hours": wall}
+		if cell.Label != "" {
+			fields["label"] = cell.Label
+		}
+		out.Records[i] = blocks.Record{Kind: "replication", Fields: fields}
+	}
+	return out, nil
 }
 
 // CellError tags a grid-cell failure with the cell's identity so sweep

@@ -8,14 +8,17 @@
 package scenario
 
 import (
+	"bytes"
 	"embed"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -238,6 +241,41 @@ func Resolve(dir string) (*Registry, error) {
 		}
 	}
 	return reg, nil
+}
+
+// BaseConfig resolves a CLI's base configuration: the configio file at
+// configPath or the named scenario (not both), else the defaults. It then
+// applies the configuration flags of fs — those named in the cluster
+// parameter vocabulary, minus skip — through cluster.SetParam: all of
+// them over the defaults, only the explicitly set ones over a file or
+// scenario, so flag defaults never clobber what the base chose.
+func (r *Registry) BaseConfig(fs *flag.FlagSet, configPath, name string, skip ...string) (cluster.Config, error) {
+	cfg := cluster.Default()
+	var err error
+	switch {
+	case configPath != "" && name != "":
+		return cfg, fmt.Errorf("-scenario and -config are mutually exclusive")
+	case name != "":
+		var s Scenario
+		if s, err = r.Get(name); err == nil {
+			cfg, err = s.ClusterConfig()
+		}
+	case configPath != "":
+		var data []byte
+		if data, err = os.ReadFile(configPath); err == nil {
+			cfg, err = configio.Load(bytes.NewReader(data))
+		}
+	}
+	visit := fs.Visit
+	if configPath == "" && name == "" {
+		visit = fs.VisitAll
+	}
+	visit(func(f *flag.Flag) {
+		if set, perr := cluster.ParamSetter(f.Name); err == nil && perr == nil && !slices.Contains(skip, f.Name) {
+			err = set(&cfg, f.Value.String())
+		}
+	})
+	return cfg, err
 }
 
 // Parse decodes one scenario file. Unknown fields — at the top level and
