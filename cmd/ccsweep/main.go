@@ -58,7 +58,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/stats"
 	"repro/internal/vr"
 )
 
@@ -429,8 +428,9 @@ func reduceCmd(dir, journalPath string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "%-16s %-24s %-24s\n", m.Name, "useful work fraction", "total useful work")
 	for _, c := range cells {
-		fmt.Fprintf(w, "%-16g %-24v %-24v\n", c.Cell.X,
-			reducedCI(c.FlatValues(), m), reducedCI(c.Totals, m))
+		frac := m.VR.Fold(m.Confidence).AddAll(c.Values)
+		total := m.VR.Fold(m.Confidence).AddAll(c.Totals)
+		fmt.Fprintf(w, "%-16g %-24v %-24v\n", c.Cell.X, frac.CI(), total.CI())
 	}
 	return nil
 }
@@ -444,22 +444,4 @@ func writeForecast(w io.Writer, c blocks.Cell, comp repro.Completion) {
 	fmt.Fprintf(w, "stretch factor      %.2fx over a failure-free machine\n", comp.Stretch())
 	fmt.Fprintf(w, "quantiles           p10 %.0f | p50 %.0f | p90 %.0f h\n",
 		comp.Quantile(0.1), comp.Quantile(0.5), comp.Quantile(0.9))
-}
-
-// reducedCI folds one cell's per-replication values into the interval the
-// monolithic table prints: a plain CI normally, the pair-mean CI when the
-// manifest ran antithetic variance reduction.
-func reducedCI(values []float64, m *blocks.Manifest) stats.Interval {
-	if m.VR == blocks.VRAntithetic {
-		var p stats.PairedAccumulator
-		for i := 0; i+1 < len(values); i += 2 {
-			p.AddPair(values[i], values[i+1])
-		}
-		return p.CI(m.Confidence)
-	}
-	var a stats.Accumulator
-	for _, v := range values {
-		a.Add(v)
-	}
-	return a.CI(m.Confidence)
 }

@@ -30,6 +30,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/provenance"
 	"repro/internal/rng"
+	"repro/internal/vr"
 )
 
 // Manifest kinds: what a block's replications compute.
@@ -40,22 +41,6 @@ const (
 	// KindCompletion blocks run job completion-time replications
 	// (cyclesim.CompletionRun): simulate until the job's work is done.
 	KindCompletion = "completion"
-)
-
-// Manifest VR modes: how a block's replications pair up. The strings match
-// vr.Mode spellings; blocks keeps its own constants so the manifest schema
-// does not depend on the vr package.
-const (
-	// VRNone is plain Monte Carlo — one independent replication per seed.
-	// It is spelled as the empty string so plain manifests omit the field
-	// and their content hashes are unchanged from earlier schema versions.
-	VRNone = ""
-	// VRAntithetic schedules replications as (plain, reflected) pairs:
-	// replications 2k and 2k+1 share seed k and differ only in stream
-	// reflection. Pair assignment happens here, in planning, which is what
-	// keeps block-sharded antithetic sweeps bit-identical to monolithic
-	// runs at any worker count.
-	VRAntithetic = "antithetic"
 )
 
 // Cell is one estimate of a sweep: a configuration plus the replication
@@ -115,9 +100,14 @@ type Manifest struct {
 	// ValueKey names the per-replication journal field the block journals
 	// track convergence of ("useful_fraction", "wall_hours").
 	ValueKey string `json:"value_key"`
-	// VR is the variance-reduction mode of the plan (VRNone, VRAntithetic).
-	// Omitted when plain, so pre-VR manifests keep their content hashes.
-	VR string `json:"vr,omitempty"`
+	// VR is the variance-reduction mode of the plan: how its replications
+	// pair up. Under vr.ModeAntithetic replications 2k and 2k+1 share seed
+	// k and differ only in stream reflection; assigning the pairs here, in
+	// planning, is what keeps block-sharded antithetic sweeps bit-identical
+	// to monolithic runs at any worker count. Omitted when plain (and
+	// spelled "antithetic" otherwise, see vr.Mode.MarshalText), so pre-VR
+	// manifests keep their content hashes.
+	VR vr.Mode `json:"vr,omitempty"`
 	// BlockSize is the maximum replications per block.
 	BlockSize int `json:"block_size"`
 	// Cells and Blocks are the planned space, in reduction order.
@@ -145,7 +135,7 @@ type PlanOptions struct {
 	Confidence float64 // default 0.95
 	ValueKey   string  // default by kind
 	BlockSize  int     // replications per block; default 1
-	VR         string  // variance-reduction mode; default VRNone
+	VR         vr.Mode // variance-reduction mode; default vr.ModeNone
 }
 
 // ReplicationSeeds derives one independent sub-stream seed per replication
@@ -205,7 +195,7 @@ func Plan(cells []Cell, o PlanOptions) (*Manifest, error) {
 	if err := checkVR(o.Kind, o.VR); err != nil {
 		return nil, err
 	}
-	if o.VR == VRAntithetic && o.BlockSize%2 == 1 {
+	if o.VR == vr.ModeAntithetic && o.BlockSize%2 == 1 {
 		// A block boundary must never split a (plain, reflected) pair: the
 		// pair is the statistical unit, and keeping both legs in one block
 		// keeps every block journal self-contained. Round an odd block size
@@ -233,7 +223,7 @@ func Plan(cells []Cell, o PlanOptions) (*Manifest, error) {
 			return nil, fmt.Errorf("blocks: cell %d (%s): %w", ci, c.Label, err)
 		}
 		var seeds []uint64
-		if o.VR == VRAntithetic {
+		if o.VR == vr.ModeAntithetic {
 			if c.Replications%2 != 0 {
 				return nil, fmt.Errorf("blocks: cell %d (%s): %d replications cannot form (plain, reflected) pairs", ci, c.Label, c.Replications)
 			}
@@ -262,11 +252,11 @@ func Plan(cells []Cell, o PlanOptions) (*Manifest, error) {
 // completion plan (s, s) seed pairs, which the completion runner — it has
 // no reflected leg — would run as identical replications, reporting an
 // interval narrower than the data supports.
-func checkVR(kind, mode string) error {
-	if mode != VRNone && mode != VRAntithetic {
-		return fmt.Errorf("blocks: unknown VR mode %q (want %q or %q)", mode, VRNone, VRAntithetic)
+func checkVR(kind string, mode vr.Mode) error {
+	if _, err := mode.MarshalText(); err != nil {
+		return fmt.Errorf("blocks: %w", err)
 	}
-	if mode == VRAntithetic && kind == KindCompletion {
+	if mode == vr.ModeAntithetic && kind == KindCompletion {
 		return fmt.Errorf("blocks: %s manifests cannot run %s VR (their replications have no reflected leg)", kind, mode)
 	}
 	return nil
@@ -299,11 +289,11 @@ func (m *Manifest) validate() error {
 	if m.Kind != KindEstimate && m.Kind != KindCompletion {
 		return fmt.Errorf("blocks: unknown manifest kind %q", m.Kind)
 	}
-	if got := m.computeHash(); got != m.Hash {
-		return fmt.Errorf("blocks: manifest hash mismatch: recorded %s, content %s (file edited or corrupt?)", m.Hash, got)
-	}
 	if err := checkVR(m.Kind, m.VR); err != nil {
 		return err
+	}
+	if got := m.computeHash(); got != m.Hash {
+		return fmt.Errorf("blocks: manifest hash mismatch: recorded %s, content %s (file edited or corrupt?)", m.Hash, got)
 	}
 	next := make([]int, len(m.Cells))
 	lastCell := 0
@@ -324,7 +314,7 @@ func (m *Manifest) validate() error {
 		if len(b.Seeds) == 0 {
 			return fmt.Errorf("blocks: block %d has no replications", i)
 		}
-		if m.VR == VRAntithetic {
+		if m.VR == vr.ModeAntithetic {
 			// Pairs are aligned to even global offsets and never split
 			// across blocks, and both legs of a pair carry the same seed —
 			// the invariants the leg assignment (global index mod 2) and the

@@ -134,11 +134,8 @@ func writeBlockJournal(dir string, m *Manifest, b Block, out BlockOutput, worker
 	j := obs.NewJournal(&buf)
 	// Block-local prefix widths (paired under VR — a block always holds
 	// whole pairs); the reducer rewrites them to the cell-global prefix.
-	w := NewWidthTracker(m.Confidence, m.VR)
+	foldWidths(m, out.Records)
 	for i, rec := range out.Records {
-		if v, ok := rec.Float(m.ValueKey); ok {
-			rec.Fields["ci_half_width"] = w.Add(v)
-		}
 		if err := j.Record(rec.Kind, rec.Fields); err != nil {
 			return fmt.Errorf("blocks: block %d record %d: %w", b.ID, i, err)
 		}

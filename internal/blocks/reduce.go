@@ -24,23 +24,18 @@ type CellResult struct {
 	// with ci_half_width rewritten from the block-local prefix to the
 	// cell-global prefix — exactly the value a monolithic run journals.
 	Records []Record
-	// Values holds the manifest-ValueKey series per block, in block order;
-	// stats.MergeConvergence folds them into the cell trajectory.
-	Values [][]float64
+	// Values holds the manifest-ValueKey series in replication order.
+	Values []float64
 	// Totals holds total_useful per replication when present (estimate
-	// kind), flattened across blocks in order.
+	// kind), in replication order.
 	Totals []float64
 	// Events is the cell's total simulation event count.
 	Events uint64
 }
 
-// FlatValues concatenates the per-block value series.
+// FlatValues returns a copy of the value series.
 func (c CellResult) FlatValues() []float64 {
-	var out []float64
-	for _, blk := range c.Values {
-		out = append(out, blk...)
-	}
-	return out
+	return append([]float64(nil), c.Values...)
 }
 
 // Replications counts the merged replication records.
@@ -84,17 +79,15 @@ func ReduceManifest(dir string, m *Manifest) ([]CellResult, error) {
 			return nil, err
 		}
 		c := &cells[b.CellIndex]
-		vals := make([]float64, 0, len(recs))
 		for _, rec := range recs {
 			if v, ok := rec.Float(m.ValueKey); ok {
-				vals = append(vals, v)
+				c.Values = append(c.Values, v)
 			}
 			if t, ok := rec.Float("total_useful"); ok {
 				c.Totals = append(c.Totals, t)
 			}
-			c.Records = append(c.Records, rec)
 		}
-		c.Values = append(c.Values, vals)
+		c.Records = append(c.Records, recs...)
 		c.Events += tr.Events
 	}
 	if len(incomplete) > 0 {
@@ -108,108 +101,46 @@ func ReduceManifest(dir string, m *Manifest) ([]CellResult, error) {
 	// monolithic order, so the recomputed widths are bit-identical to the
 	// single-process run's.
 	for ci := range cells {
-		w := NewWidthTracker(m.Confidence, m.VR)
-		for _, rec := range cells[ci].Records {
-			if v, ok := rec.Float(m.ValueKey); ok {
-				rec.Fields["ci_half_width"] = w.Add(v)
-			}
-		}
+		foldWidths(m, cells[ci].Records)
 	}
 	return cells, nil
 }
 
-// WidthTracker computes the running ci_half_width journaled beside each
-// replication record: the plain prefix half-width or, under antithetic VR,
-// the half-width of the pair-mean estimate over the pairs completed so far
-// (0 while fewer than two pairs are in, with the record count carrying the
-// truth — the same convention stats.Convergence uses). One implementation
-// serves the monolithic journal writer, the block-local writer and the
-// reducer, which is what pins the three to identical bytes.
-type WidthTracker struct {
-	level      float64
-	paired     bool
-	acc        stats.Accumulator
-	pacc       stats.PairedAccumulator
-	pending    float64
-	hasPending bool
-}
-
-// NewWidthTracker builds a tracker for the given confidence level and
-// manifest VR mode.
-func NewWidthTracker(level float64, vrMode string) *WidthTracker {
-	return &WidthTracker{level: level, paired: vrMode == VRAntithetic}
-}
-
-// Add folds one replication value (one leg, under VR) and returns the
-// half-width to journal with its record.
-func (w *WidthTracker) Add(v float64) float64 {
-	if !w.paired {
-		w.acc.Add(v)
-		return w.acc.Convergence(w.level).HalfWidth
+// foldWidths sets each replication record's ci_half_width to the prefix
+// half-width of the manifest's fold (paired under antithetic VR) over the
+// given records: block-local when handed one block, cell-global when handed
+// a whole cell. The same fold serves the monolithic journal writer
+// (runner), which is what pins the three journals to identical bytes.
+func foldWidths(m *Manifest, recs []Record) {
+	f := m.VR.Fold(m.Confidence)
+	for _, rec := range recs {
+		if v, ok := rec.Float(m.ValueKey); ok {
+			f.Add(v)
+			rec.Fields["ci_half_width"] = f.Convergence().HalfWidth
+		}
 	}
-	if !w.hasPending {
-		w.pending = v
-		w.hasPending = true
-	} else {
-		w.pacc.AddPair(w.pending, v)
-		w.hasPending = false
-	}
-	return w.pacc.Convergence(w.level).HalfWidth
 }
 
 // EstimateFields builds the closing "estimate" record for a cell from its
-// per-block value series. runner.writeJournal and the reducer both call
-// it, which is what pins the two journal paths to one schema: replication
-// count, total events, useful-work interval, total-useful interval, and
-// the merged convergence trajectory. Under antithetic VR (vrMode ==
-// VRAntithetic) the intervals and convergence come from the pair means and
-// the record gains a "vr" block reporting the measured variance-reduction
-// factor; plain mode emits exactly the pre-VR schema, byte for byte.
-func EstimateFields(level float64, valueBlocks [][]float64, totals []float64, events uint64, label, vrMode string) map[string]any {
-	var fields map[string]any
-	n := 0
-	for _, blk := range valueBlocks {
-		n += len(blk)
+// replication values in order. runner.writeJournal and the reducer both
+// call it, which is what pins the two journal paths to one schema:
+// replication count, total events, useful-work interval, total-useful
+// interval and the convergence trajectory, all folded under the plan's VR
+// mode. Under antithetic VR the record gains a "vr" block reporting the
+// measured variance-reduction factor; plain mode emits exactly the pre-VR
+// schema, byte for byte.
+func EstimateFields(level float64, values, totals []float64, events uint64, label string, mode vr.Mode) map[string]any {
+	frac := mode.Fold(level)
+	convergence := frac.Trajectory(values)
+	fields := map[string]any{
+		"replications":    len(values),
+		"events":          events,
+		"useful_fraction": IntervalFields(frac.CI()),
+		"total_useful":    IntervalFields(mode.Fold(level).AddAll(totals).CI()),
+		"convergence":     convergence,
 	}
-	if vrMode == VRAntithetic {
-		var frac, tot stats.PairedAccumulator
-		addPairs := func(p *stats.PairedAccumulator, legs []float64) {
-			for i := 0; i+1 < len(legs); i += 2 {
-				p.AddPair(legs[i], legs[i+1])
-			}
-		}
-		var flat []float64
-		for _, blk := range valueBlocks {
-			flat = append(flat, blk...)
-		}
-		addPairs(&frac, flat)
-		addPairs(&tot, totals)
-		fields = map[string]any{
-			"replications":    n,
-			"events":          events,
-			"useful_fraction": IntervalFields(frac.CI(level)),
-			"total_useful":    IntervalFields(tot.CI(level)),
-			"convergence":     stats.MergePairedConvergence(valueBlocks, level),
-			"vr": vr.NewReport(vr.ModeAntithetic, frac.Pairs(), frac.VarianceReductionFactor(),
-				frac.LegCorrelation(), frac.PairVariance(), frac.LegVariance()),
-		}
-	} else {
-		var frac, tot stats.Accumulator
-		for _, blk := range valueBlocks {
-			for _, v := range blk {
-				frac.Add(v)
-			}
-		}
-		for _, v := range totals {
-			tot.Add(v)
-		}
-		fields = map[string]any{
-			"replications":    n,
-			"events":          events,
-			"useful_fraction": IntervalFields(frac.CI(level)),
-			"total_useful":    IntervalFields(tot.CI(level)),
-			"convergence":     stats.MergeConvergence(valueBlocks, level),
-		}
+	if r := vr.NewReport(frac.Paired()); r != nil {
+		fields["vr"] = r
 	}
 	if label != "" {
 		fields["label"] = label
@@ -219,18 +150,14 @@ func EstimateFields(level float64, valueBlocks [][]float64, totals []float64, ev
 
 // completionFields builds the closing record for a completion-kind cell.
 func completionFields(m *Manifest, c CellResult) map[string]any {
-	var acc stats.Accumulator
-	for _, blk := range c.Values {
-		for _, v := range blk {
-			acc.Add(v)
-		}
-	}
+	wall := m.VR.Fold(m.Confidence)
+	convergence := wall.Trajectory(c.Values)
 	fields := map[string]any{
 		"replications": c.Replications(),
 		"events":       c.Events,
 		"work":         m.Work,
-		"wall_hours":   IntervalFields(acc.CI(m.Confidence)),
-		"convergence":  stats.MergeConvergence(c.Values, m.Confidence),
+		"wall_hours":   IntervalFields(wall.CI()),
+		"convergence":  convergence,
 	}
 	if c.Cell.Label != "" {
 		fields["label"] = c.Cell.Label

@@ -2,10 +2,12 @@ package blocks
 
 import (
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/vr"
 )
 
 func vrCells(reps int) []Cell {
@@ -15,7 +17,7 @@ func vrCells(reps int) []Cell {
 // Antithetic planning: every pair shares one seed, pairs sit at even
 // offsets, and consecutive pairs draw distinct seeds from the cell root.
 func TestPlanAntitheticSeedPairing(t *testing.T) {
-	m, err := Plan(vrCells(8), PlanOptions{Name: "vr", BlockSize: 8, VR: VRAntithetic})
+	m, err := Plan(vrCells(8), PlanOptions{Name: "vr", BlockSize: 8, VR: vr.ModeAntithetic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func TestPlanAntitheticSeedPairing(t *testing.T) {
 // An odd block size would split pairs across blocks; the planner rounds it
 // up, and the resulting blocks all start on even replication offsets.
 func TestPlanAntitheticEvenizesBlockSize(t *testing.T) {
-	m, err := Plan(vrCells(10), PlanOptions{Name: "vr", BlockSize: 3, VR: VRAntithetic})
+	m, err := Plan(vrCells(10), PlanOptions{Name: "vr", BlockSize: 3, VR: vr.ModeAntithetic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +54,12 @@ func TestPlanAntitheticEvenizesBlockSize(t *testing.T) {
 }
 
 func TestPlanAntitheticRejectsOddReplications(t *testing.T) {
-	if _, err := Plan(vrCells(7), PlanOptions{Name: "vr", VR: VRAntithetic}); err == nil {
+	if _, err := Plan(vrCells(7), PlanOptions{Name: "vr", VR: vr.ModeAntithetic}); err == nil {
 		t.Fatal("odd replication count accepted under antithetic VR")
 	}
-	if _, err := Plan(vrCells(4), PlanOptions{Name: "vr", VR: "bogus"}); err == nil {
-		t.Fatal("unknown VR mode accepted")
+	if _, err := Plan(vrCells(4), PlanOptions{Name: "vr", VR: vr.Mode(7)}); err == nil ||
+		!strings.Contains(err.Error(), "unknown mode 7") {
+		t.Fatalf("unknown VR mode accepted: %v", err)
 	}
 }
 
@@ -74,19 +77,57 @@ func TestPlainManifestOmitsVRField(t *testing.T) {
 	if strings.Contains(string(data), `"vr":`) {
 		t.Fatalf("plain manifest serialises a vr field: %s", data)
 	}
-	anti, err := Plan(vrCells(4), PlanOptions{Name: "sweep", BlockSize: 2, VR: VRAntithetic})
+	anti, err := Plan(vrCells(4), PlanOptions{Name: "sweep", BlockSize: 2, VR: vr.ModeAntithetic})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Hash == anti.Hash {
 		t.Fatal("antithetic plan hashes identically to the plain plan")
 	}
+	data, err = json.Marshal(anti)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"vr":"antithetic"`) {
+		t.Fatalf("antithetic manifest does not spell its mode: %s", data)
+	}
+}
+
+// A manifest file naming a VR mode this build does not know fails to load
+// with the mode vocabulary in the error.
+func TestLoadManifestRejectsUnknownVR(t *testing.T) {
+	m, err := Plan(vrCells(4), PlanOptions{Name: "vr", BlockSize: 2, VR: vr.ModeAntithetic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := CreateRun(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadManifest(dir); err != nil || got.VR != vr.ModeAntithetic || got.Hash != m.Hash {
+		t.Fatalf("reloaded manifest: %v", err)
+	}
+	data, err := os.ReadFile(ManifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bogus := strings.Replace(string(data), `"vr": "antithetic"`, `"vr": "bogus"`, 1)
+	if bogus == string(data) {
+		t.Fatal("manifest file carries no vr field")
+	}
+	if err := os.WriteFile(ManifestPath(dir), []byte(bogus), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadManifest(dir)
+	if err == nil || !strings.Contains(err.Error(), `vr: unknown mode "bogus" (want none or antithetic)`) {
+		t.Fatalf("manifest with unknown VR mode loaded: %v", err)
+	}
 }
 
 // A corrupted antithetic manifest — a pair split across blocks or with
 // mismatched seeds — must fail validation loudly.
 func TestValidateRejectsSplitPairs(t *testing.T) {
-	m, err := Plan(vrCells(4), PlanOptions{Name: "vr", BlockSize: 4, VR: VRAntithetic})
+	m, err := Plan(vrCells(4), PlanOptions{Name: "vr", BlockSize: 4, VR: vr.ModeAntithetic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,23 +147,23 @@ func TestValidateRejectsSplitPairs(t *testing.T) {
 // replications and report an interval narrower than the data supports.
 // Plan refuses it, and so does validation of a manifest built by hand.
 func TestCompletionRejectsAntithetic(t *testing.T) {
-	opts := PlanOptions{Name: "job", Kind: KindCompletion, Work: 100, VR: VRAntithetic}
+	opts := PlanOptions{Name: "job", Kind: KindCompletion, Work: 100, VR: vr.ModeAntithetic}
 	if _, err := Plan(vrCells(4), opts); err == nil || !strings.Contains(err.Error(), "reflected leg") {
 		t.Fatalf("antithetic completion plan accepted: %v", err)
 	}
-	opts.VR = VRNone
+	opts.VR = vr.ModeNone
 	m, err := Plan(vrCells(4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	paired := *m
-	paired.VR = VRAntithetic
+	paired.VR = vr.ModeAntithetic
 	paired.Blocks = []Block{{ID: 0, CellIndex: 0, Seeds: PairedReplicationSeeds(11, 4)}}
 	paired.Hash = paired.computeHash()
 	if err := paired.validate(); err == nil || !strings.Contains(err.Error(), "reflected leg") {
 		t.Fatalf("antithetic completion manifest passed validation: %v", err)
 	}
-	anti, err := Plan(vrCells(4), PlanOptions{Name: "sweep", VR: VRAntithetic})
+	anti, err := Plan(vrCells(4), PlanOptions{Name: "sweep", VR: vr.ModeAntithetic})
 	if err != nil {
 		t.Fatalf("antithetic estimate plan rejected: %v", err)
 	}

@@ -87,13 +87,9 @@ func CompletionRun(cfg cluster.Config, work float64, seed uint64) (float64, erro
 // that order, so any caller holding the same samples — a monolithic run
 // or a reduced run directory — gets the same bits.
 func FoldCompletion(work float64, samples []float64, level float64) Completion {
-	var acc stats.Accumulator
-	for _, v := range samples {
-		acc.Add(v)
-	}
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
-	return Completion{Mean: acc.CI(level), Samples: sorted, Work: work}
+	return Completion{Mean: stats.NewFold(level, false).AddAll(samples).CI(), Samples: sorted, Work: work}
 }
 
 // JobCompletion estimates the completion-time distribution of a job

@@ -12,14 +12,12 @@ package runner
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/blocks"
 	"repro/internal/cyclesim"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/vr"
 )
 
 // PlanGrid builds the estimate-kind manifest for a multi-cell sweep.
@@ -51,7 +49,7 @@ func PlanGrid(name string, cells []blocks.Cell, blockSize int, opts Options) (*b
 		Measure:    opts.Measure,
 		Confidence: opts.Confidence,
 		BlockSize:  blockSize,
-		VR:         vrString(opts.VarianceReduction),
+		VR:         opts.VarianceReduction,
 	})
 }
 
@@ -72,10 +70,6 @@ func BlockRunner(workers int, metrics *obs.Registry) blocks.RunFunc {
 			return blocks.BlockOutput{}, fmt.Errorf("runner: cannot run %q blocks", m.Kind)
 		}
 		cell := m.Cells[b.CellIndex]
-		mode, err := vr.ParseMode(m.VR)
-		if err != nil {
-			return blocks.BlockOutput{}, fmt.Errorf("runner: %w", err)
-		}
 		opts := Options{
 			Replications:      b.Reps(),
 			Warmup:            m.Warmup,
@@ -85,22 +79,11 @@ func BlockRunner(workers int, metrics *obs.Registry) blocks.RunFunc {
 			Workers:           workers,
 			Metrics:           metrics,
 			Label:             cell.Label,
-			VarianceReduction: mode,
+			VarianceReduction: m.VR,
 			forceSim:          true,
 		}.withDefaults()
-		antithetic := mode == vr.ModeAntithetic
-		var events atomic.Uint64
 		start := time.Now()
-		outs, err := exec.MapLocal(ctx, pool(opts, &events), b.Reps(), newInstanceCache,
-			func(_ context.Context, cache *instanceCache, i int) (repOut, error) {
-				// The leg is the cell-global replication parity — the same
-				// rule the monolithic loop applies — so a block worker runs
-				// exactly the leg the plan assigned, wherever the block
-				// boundary fell (the planner keeps RepStart even under VR).
-				o, err := runOne(cell.Config, b.Seeds[i], antithetic && (b.RepStart+i)%2 == 1, opts, cache)
-				events.Add(o.fired)
-				return o, err
-			})
+		outs, err := runBlock(ctx, cell.Config, b, opts)
 		if err != nil {
 			return blocks.BlockOutput{}, err
 		}
@@ -179,10 +162,6 @@ func EstimateGrid(ctx context.Context, m *blocks.Manifest, opts Options, cellOpt
 		return nil, fmt.Errorf("runner: cannot estimate %q manifest", m.Kind)
 	}
 	opts = opts.withDefaults()
-	gridMode, err := vr.ParseMode(m.VR)
-	if err != nil {
-		return nil, fmt.Errorf("runner: %w", err)
-	}
 	p := exec.Pool{Workers: exec.WorkerCount(opts.Workers), Metrics: opts.Metrics}
 	return exec.Map(ctx, p, len(m.Cells), func(ctx context.Context, ci int) (Result, error) {
 		cell := m.Cells[ci]
@@ -193,7 +172,7 @@ func EstimateGrid(ctx context.Context, m *blocks.Manifest, opts Options, cellOpt
 		o.Measure = m.Measure
 		o.Confidence = m.Confidence
 		o.Label = cell.Label
-		o.VarianceReduction = gridMode
+		o.VarianceReduction = m.VR
 		o.Workers = 1 // the grid is already parallel; don't oversubscribe
 		o.Progress = nil
 		// Cells complete in scheduling order, so a journal shared across

@@ -143,15 +143,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// vrString maps the option mode onto the manifest spelling (blocks.VRNone
-// is the empty string so plain manifests keep their pre-VR hashes).
-func vrString(m vr.Mode) string {
-	if m == vr.ModeAntithetic {
-		return blocks.VRAntithetic
-	}
-	return blocks.VRNone
-}
-
 // Validate reports option problems (after defaulting).
 func (o Options) Validate() error {
 	if o.Replications < 1 {
@@ -257,29 +248,14 @@ func EstimateContext(ctx context.Context, cfg cluster.Config, opts Options) (Res
 		Measure:    opts.Measure,
 		Confidence: opts.Confidence,
 		BlockSize:  opts.Replications,
-		VR:         vrString(opts.VarianceReduction),
+		VR:         opts.VarianceReduction,
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("runner: %w", err)
 	}
-	seeds := plan.Blocks[0].Seeds
-	antithetic := opts.VarianceReduction == vr.ModeAntithetic
+	block := plan.Blocks[0]
 	start := time.Now()
-	var events atomic.Uint64
-	// Each worker carries one instance cache: the model is built on the
-	// worker's first replication and recycled for the rest (zero-allocation
-	// hot loop; see internal/runner/cache.go for why this cannot affect
-	// results).
-	outs, err := exec.MapLocal(ctx, pool(opts, &events), opts.Replications, newInstanceCache,
-		func(_ context.Context, cache *instanceCache, r int) (repOut, error) {
-			// Under antithetic VR the plan duplicated each seed across a
-			// (plain, reflected) pair; the leg is the replication parity,
-			// fixed — like the seed — before dispatch, so leg assignment is
-			// invisible to worker scheduling.
-			o, err := runOne(cfg, seeds[r], antithetic && r%2 == 1, opts, cache)
-			events.Add(o.fired)
-			return o, err
-		})
+	outs, err := runBlock(ctx, cfg, block, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -293,11 +269,34 @@ func EstimateContext(ctx context.Context, cfg cluster.Config, opts Options) (Res
 	}
 	recordEstimate(opts, outs, res, time.Since(start))
 	if opts.Journal != nil {
-		if err := writeJournal(opts, seeds, outs, res); err != nil {
+		if err := writeJournal(opts, block.Seeds, outs, res); err != nil {
 			return Result{}, fmt.Errorf("runner: journal: %w", err)
 		}
 	}
 	return res, nil
+}
+
+// runBlock runs one planned block's replications on the exec pool and
+// returns their outputs in replication order. It is the one replication
+// loop: EstimateContext runs its single planned block through it and
+// BlockRunner each claimed block. Each worker carries one instance cache —
+// the model is built on the worker's first replication and recycled for
+// the rest (zero-allocation hot loop; see internal/runner/cache.go for why
+// this cannot affect results).
+func runBlock(ctx context.Context, cfg cluster.Config, b blocks.Block, opts Options) ([]repOut, error) {
+	antithetic := opts.VarianceReduction == vr.ModeAntithetic
+	var events atomic.Uint64
+	return exec.MapLocal(ctx, pool(opts, &events), b.Reps(), newInstanceCache,
+		func(_ context.Context, cache *instanceCache, i int) (repOut, error) {
+			// Under antithetic VR the plan duplicated each seed across a
+			// (plain, reflected) pair aligned to even cell-global indices;
+			// the leg is the global replication parity, fixed — like the
+			// seed — before dispatch, so it is invisible to worker
+			// scheduling and to where a block boundary fell.
+			o, err := runOne(cfg, b.Seeds[i], antithetic && (b.RepStart+i)%2 == 1, opts, cache)
+			events.Add(o.fired)
+			return o, err
+		})
 }
 
 // recordEstimate publishes estimate-level telemetry.
@@ -374,27 +373,25 @@ func writeJournal(opts Options, seeds []uint64, outs []repOut, res Result) error
 			return err
 		}
 	}
-	w := blocks.NewWidthTracker(opts.Confidence, vrString(opts.VarianceReduction))
+	fold := opts.VarianceReduction.Fold(opts.Confidence)
 	var events uint64
+	fracs := make([]float64, len(outs))
+	totals := make([]float64, len(outs))
 	for r, o := range outs {
 		events += o.fired
+		fracs[r] = o.metrics.UsefulWorkFraction
+		totals[r] = o.metrics.TotalUsefulWork
 		fields := repFields(r, seeds[r], o, opts)
 		// The prefix CI half-width after this replication — the raw
 		// convergence trajectory, one point per record (paired prefix under
-		// antithetic VR, via the same tracker the block writers use).
-		fields["ci_half_width"] = w.Add(o.metrics.UsefulWorkFraction)
+		// antithetic VR, through the same fold the block writers use).
+		fold.Add(fracs[r])
+		fields["ci_half_width"] = fold.Convergence().HalfWidth
 		if err := j.Record("replication", fields); err != nil {
 			return err
 		}
 	}
-	fracs := make([]float64, len(outs))
-	totals := make([]float64, len(outs))
-	for i, o := range outs {
-		fracs[i] = o.metrics.UsefulWorkFraction
-		totals[i] = o.metrics.TotalUsefulWork
-	}
-	fields := blocks.EstimateFields(opts.Confidence, [][]float64{fracs}, totals, events, opts.Label,
-		vrString(opts.VarianceReduction))
+	fields := blocks.EstimateFields(opts.Confidence, fracs, totals, events, opts.Label, opts.VarianceReduction)
 	if sc := res.SpanCheck; sc != nil {
 		fields["span_check"] = map[string]any{
 			"reward_mean": sc.RewardMean,
@@ -434,32 +431,20 @@ func pool(opts Options, events *atomic.Uint64) exec.Pool {
 
 // reduce folds per-replication metrics into the estimate, strictly in
 // replication order so floating-point accumulation is scheduling-independent.
-// Under antithetic VR consecutive replications form (plain, reflected)
-// pairs and the intervals are formed over the pair means, with the measured
-// variance-reduction factor reported alongside.
+// Under antithetic VR the fold pairs consecutive replications and forms the
+// intervals over the pair means, and the measured variance-reduction
+// factor is reported alongside.
 func reduce(metrics []model.Metrics, opts Options) Result {
-	if opts.VarianceReduction == vr.ModeAntithetic {
-		var frac, total stats.PairedAccumulator
-		for i := 0; i+1 < len(metrics); i += 2 {
-			frac.AddPair(metrics[i].UsefulWorkFraction, metrics[i+1].UsefulWorkFraction)
-			total.AddPair(metrics[i].TotalUsefulWork, metrics[i+1].TotalUsefulWork)
-		}
-		return Result{
-			UsefulWorkFraction: frac.CI(opts.Confidence),
-			TotalUsefulWork:    total.CI(opts.Confidence),
-			PerReplication:     metrics,
-			VR: vr.NewReport(vr.ModeAntithetic, frac.Pairs(), frac.VarianceReductionFactor(),
-				frac.LegCorrelation(), frac.PairVariance(), frac.LegVariance()),
-		}
-	}
-	var frac, total stats.Accumulator
+	frac := opts.VarianceReduction.Fold(opts.Confidence)
+	total := opts.VarianceReduction.Fold(opts.Confidence)
 	for _, m := range metrics {
 		frac.Add(m.UsefulWorkFraction)
 		total.Add(m.TotalUsefulWork)
 	}
 	return Result{
-		UsefulWorkFraction: frac.CI(opts.Confidence),
-		TotalUsefulWork:    total.CI(opts.Confidence),
+		UsefulWorkFraction: frac.CI(),
+		TotalUsefulWork:    total.CI(),
 		PerReplication:     metrics,
+		VR:                 vr.NewReport(frac.Paired()),
 	}
 }

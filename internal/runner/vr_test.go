@@ -197,8 +197,8 @@ func TestShardedAntitheticMatchesMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.VR != blocks.VRAntithetic {
-		t.Fatalf("manifest VR = %q", m.VR)
+	if m.VR != vr.ModeAntithetic {
+		t.Fatalf("manifest VR = %v", m.VR)
 	}
 	if m.BlockSize%2 != 0 {
 		t.Fatalf("planner left an odd block size %d under VR", m.BlockSize)

@@ -105,76 +105,3 @@ func (p *PairedAccumulator) VarianceReductionFactor() float64 {
 func (p *PairedAccumulator) CI(level float64) Interval {
 	return p.pairs.CI(level)
 }
-
-// Convergence returns the convergence snapshot of the pair-mean estimate.
-func (p *PairedAccumulator) Convergence(level float64) Convergence {
-	return p.pairs.Convergence(level)
-}
-
-// PairedConvergenceTrajectory folds consecutive (plain, reflected) values —
-// leg order a0, b0, a1, b1, … — into one convergence snapshot per completed
-// pair with at least two pairs. A trailing unpaired leg is ignored. The fold
-// order is the caller's, so the trajectory is scheduling-independent, and
-// MergePairedConvergence over per-block slices of the same flattened
-// sequence produces the identical trajectory.
-func PairedConvergenceTrajectory(legs []float64, level float64) []Convergence {
-	return MergePairedConvergence([][]float64{legs}, level)
-}
-
-// MergePairedConvergence is the paired analogue of MergeConvergence: it
-// folds per-block leg values (ordered by manifest position, pairs aligned
-// to even global offsets) into the pair-mean convergence trajectory the
-// monolithic run would have produced — bit-identical at any block layout
-// that preserves the flattened order.
-func MergePairedConvergence(blocks [][]float64, level float64) []Convergence {
-	var acc PairedAccumulator
-	var out []Convergence
-	var pendingLeg float64
-	havePending := false
-	for _, vals := range blocks {
-		for _, v := range vals {
-			if !havePending {
-				pendingLeg = v
-				havePending = true
-				continue
-			}
-			acc.AddPair(pendingLeg, v)
-			havePending = false
-			if acc.Pairs() >= 2 {
-				out = append(out, acc.Convergence(level))
-			}
-		}
-	}
-	return out
-}
-
-// ReplicationsToHalfWidth folds values in order and returns the number of
-// observations needed before the CI half-width at the given level first
-// drops to target or below (the first crossing is reported; no check is
-// made that the interval stays inside afterwards). Returns −1 when the
-// trajectory never reaches the target.
-func ReplicationsToHalfWidth(values []float64, level, target float64) int {
-	var acc Accumulator
-	for i, v := range values {
-		acc.Add(v)
-		if acc.N() >= 2 && acc.CI(level).HalfWide <= target {
-			return i + 1
-		}
-	}
-	return -1
-}
-
-// PairedReplicationsToHalfWidth is the paired analogue: legs are folded in
-// (plain, reflected) order and the count returned is in legs (replications
-// simulated), not pairs, so it is directly comparable to
-// ReplicationsToHalfWidth on a plain sequence.
-func PairedReplicationsToHalfWidth(legs []float64, level, target float64) int {
-	var acc PairedAccumulator
-	for i := 0; i+1 < len(legs); i += 2 {
-		acc.AddPair(legs[i], legs[i+1])
-		if acc.Pairs() >= 2 && acc.CI(level).HalfWide <= target {
-			return i + 2
-		}
-	}
-	return -1
-}

@@ -81,15 +81,20 @@ func TestMergePairedConvergenceBlockInvariance(t *testing.T) {
 	for i := range legs {
 		legs[i] = r.Float64()
 	}
-	want := PairedConvergenceTrajectory(legs, 0.95)
-	for _, sizes := range [][]int{{48}, {2, 46}, {8, 8, 8, 8, 8, 8}, {4, 20, 24}} {
+	want := NewFold(0.95, true).Trajectory(legs)
+	if len(want) != 23 {
+		t.Fatalf("%d snapshots over 24 pairs, want 23", len(want))
+	}
+	// Odd block sizes split pairs; the fold holds the waiting leg across
+	// the boundary.
+	for _, sizes := range [][]int{{48}, {2, 46}, {8, 8, 8, 8, 8, 8}, {4, 20, 24}, {1, 6, 41}} {
 		var blocks [][]float64
 		at := 0
 		for _, s := range sizes {
 			blocks = append(blocks, legs[at:at+s])
 			at += s
 		}
-		got := MergePairedConvergence(blocks, 0.95)
+		got := foldBlocks(blocks, true)
 		if len(got) != len(want) {
 			t.Fatalf("layout %v: %d snapshots, want %d", sizes, len(got), len(want))
 		}
@@ -103,10 +108,41 @@ func TestMergePairedConvergenceBlockInvariance(t *testing.T) {
 
 func TestPairedConvergenceIgnoresTrailingLeg(t *testing.T) {
 	legs := []float64{1, 2, 3, 4, 5}
-	got := PairedConvergenceTrajectory(legs, 0.95)
-	want := PairedConvergenceTrajectory(legs[:4], 0.95)
+	f := NewFold(0.95, true)
+	got := f.Trajectory(legs)
+	want := NewFold(0.95, true).Trajectory(legs[:4])
 	if len(got) != len(want) {
 		t.Fatalf("trailing unpaired leg changed the trajectory: %d vs %d snapshots", len(got), len(want))
+	}
+	if f.N() != 2 || f.Paired().Legs() != 4 {
+		t.Fatalf("fold holds %d pairs over %d legs, want 2 over 4", f.N(), f.Paired().Legs())
+	}
+	if NewFold(0.95, false).Paired() != nil {
+		t.Fatal("plain fold reports pair statistics")
+	}
+}
+
+// The paired fold's interval and pair statistics are those of a
+// PairedAccumulator fed the same pairs.
+func TestPairedFoldMatchesAccumulator(t *testing.T) {
+	r := rng.New(8)
+	f := NewFold(0.95, true)
+	var p PairedAccumulator
+	for i := 0; i < 20; i++ {
+		a, b := r.Float64(), r.Float64()
+		if f.Add(a) {
+			t.Fatal("plain leg completed an observation")
+		}
+		if !f.Add(b) {
+			t.Fatal("reflected leg did not complete its pair")
+		}
+		p.AddPair(a, b)
+	}
+	if f.CI() != p.CI(0.95) {
+		t.Fatalf("fold CI %+v != paired CI %+v", f.CI(), p.CI(0.95))
+	}
+	if *f.Paired() != p {
+		t.Fatal("fold pair statistics differ from the accumulator's")
 	}
 }
 
@@ -116,9 +152,12 @@ func TestReplicationsToHalfWidth(t *testing.T) {
 	for i := range vals {
 		vals[i] = r.Float64()
 	}
-	traj := ConvergenceTrajectory(vals, 0.95)
-	target := traj[len(traj)-1].HalfWidth * 2
-	n := ReplicationsToHalfWidth(vals, 0.95, target)
+	var all Accumulator
+	for _, v := range vals {
+		all.Add(v)
+	}
+	target := all.CI(0.95).HalfWide * 2
+	n := NewFold(0.95, false).ReplicationsToHalfWidth(vals, target)
 	if n <= 0 || n > len(vals) {
 		t.Fatalf("ReplicationsToHalfWidth = %d, want in (0, %d]", n, len(vals))
 	}
@@ -130,13 +169,13 @@ func TestReplicationsToHalfWidth(t *testing.T) {
 			t.Fatalf("crossing already at %d < reported %d", i+1, n)
 		}
 	}
-	if ReplicationsToHalfWidth(vals, 0.95, 0) != -1 {
+	if NewFold(0.95, false).ReplicationsToHalfWidth(vals, 0) != -1 {
 		t.Fatalf("unreachable target did not return -1")
 	}
 }
 
 // Antithetic pairing must reach a target half-width in far fewer legs than
-// plain folding on a monotone output — the paired counter is denominated in
+// plain folding on a monotone output — the paired count is denominated in
 // legs so the two are directly comparable.
 func TestPairedReplicationsToHalfWidthBeatsPlain(t *testing.T) {
 	r := rng.New(55)
@@ -150,11 +189,13 @@ func TestPairedReplicationsToHalfWidthBeatsPlain(t *testing.T) {
 		paired[i] = -math.Log(u1)
 		paired[i+1] = -math.Log(1 - u1)
 	}
-	traj := ConvergenceTrajectory(plain, 0.95)
-	target := traj[len(traj)-1].HalfWidth
-	pn := PairedReplicationsToHalfWidth(paired, 0.95, target)
+	target := NewFold(0.95, false).AddAll(plain).CI().HalfWide
+	pn := NewFold(0.95, true).ReplicationsToHalfWidth(paired, target)
 	if pn <= 0 {
 		t.Fatalf("paired trajectory never reached plain target %v", target)
+	}
+	if pn%2 != 0 {
+		t.Fatalf("paired count %d is not a whole number of pairs", pn)
 	}
 	if pn*2 > n {
 		t.Fatalf("paired needed %d legs to match plain's %d-leg half-width; expected at least 2x fewer", pn, n)

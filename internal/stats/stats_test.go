@@ -321,7 +321,7 @@ func TestConvergenceZeroMeanIsFinite(t *testing.T) {
 
 func TestConvergenceTrajectory(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5}
-	traj := ConvergenceTrajectory(vals, 0.95)
+	traj := NewFold(0.95, false).Trajectory(vals)
 	if len(traj) != 4 {
 		t.Fatalf("trajectory length = %d, want 4 (prefixes n>=2)", len(traj))
 	}
@@ -342,14 +342,26 @@ func TestConvergenceTrajectory(t *testing.T) {
 	if want := a.Convergence(0.95); traj[len(traj)-1] != want {
 		t.Fatalf("final entry %+v != accumulator %+v", traj[len(traj)-1], want)
 	}
-	if got := ConvergenceTrajectory([]float64{7}, 0.95); got != nil {
+	if got := NewFold(0.95, false).Trajectory([]float64{7}); got != nil {
 		t.Fatalf("single-value trajectory = %v, want nil", got)
 	}
 }
 
+// foldBlocks folds a partition of one sequence block by block into one
+// fold and returns the concatenated trajectory — how the reducer folds a
+// sharded cell.
+func foldBlocks(blocks [][]float64, paired bool) []Convergence {
+	f := NewFold(0.95, paired)
+	var out []Convergence
+	for _, blk := range blocks {
+		out = append(out, f.Trajectory(blk)...)
+	}
+	return out
+}
+
 func TestMergeConvergenceMatchesSingleStream(t *testing.T) {
 	vals := []float64{0.93, 0.91, 0.97, 0.88, 0.95, 0.9, 0.94, 0.92, 0.96, 0.89}
-	want := ConvergenceTrajectory(vals, 0.95)
+	want := NewFold(0.95, false).Trajectory(vals)
 	// Any block partition of the same sequence must produce the identical
 	// trajectory — this is what makes a sharded sweep's convergence record
 	// indistinguishable from the monolithic run's.
@@ -360,7 +372,7 @@ func TestMergeConvergenceMatchesSingleStream(t *testing.T) {
 		{{vals[0]}, {vals[1]}, {vals[2]}, {vals[3]}, {vals[4]}, {vals[5]}, {vals[6]}, {vals[7]}, {vals[8]}, {vals[9]}},
 	}
 	for pi, blocks := range partitions {
-		got := MergeConvergence(blocks, 0.95)
+		got := foldBlocks(blocks, false)
 		if len(got) != len(want) {
 			t.Fatalf("partition %d: %d snapshots, want %d", pi, len(got), len(want))
 		}
@@ -370,7 +382,7 @@ func TestMergeConvergenceMatchesSingleStream(t *testing.T) {
 			}
 		}
 	}
-	if got := MergeConvergence(nil, 0.95); got != nil {
+	if got := foldBlocks(nil, false); got != nil {
 		t.Fatalf("empty merge = %v, want nil", got)
 	}
 }

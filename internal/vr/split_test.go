@@ -1,6 +1,7 @@
 package vr
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -163,6 +164,51 @@ func TestModeParseRoundTrip(t *testing.T) {
 	}
 	if ModeAntithetic.String() != "antithetic" || ModeNone.String() != "none" {
 		t.Error("mode String round trip broken")
+	}
+}
+
+// A Mode field encodes as its flag spelling, omitted when plain, and
+// decodes back; an unknown mode fails both ways.
+func TestModeJSON(t *testing.T) {
+	type doc struct {
+		VR Mode `json:"vr,omitempty"`
+	}
+	for _, tc := range []struct {
+		mode Mode
+		json string
+	}{{ModeNone, `{}`}, {ModeAntithetic, `{"vr":"antithetic"}`}} {
+		data, err := json.Marshal(doc{tc.mode})
+		if err != nil || string(data) != tc.json {
+			t.Errorf("marshal %v = %s, %v; want %s", tc.mode, data, err, tc.json)
+		}
+		var back doc
+		if err := json.Unmarshal(data, &back); err != nil || back.VR != tc.mode {
+			t.Errorf("unmarshal %s = %v, %v", data, back.VR, err)
+		}
+	}
+	if _, err := json.Marshal(doc{Mode(7)}); err == nil {
+		t.Error("unknown mode marshalled")
+	}
+	var back doc
+	if err := json.Unmarshal([]byte(`{"vr":"bogus"}`), &back); err == nil {
+		t.Error("unknown mode unmarshalled")
+	}
+}
+
+// A mode's fold pairs exactly when the mode is antithetic, and the report
+// follows the fold: none for a plain fold, the pair statistics otherwise.
+func TestModeFoldAndReport(t *testing.T) {
+	if NewReport(ModeNone.Fold(0.95).AddAll([]float64{1, 2, 3, 4}).Paired()) != nil {
+		t.Error("plain fold produced a variance-reduction report")
+	}
+	f := ModeAntithetic.Fold(0.95).AddAll([]float64{1, 3, 2, 2, 4, 0})
+	rep := NewReport(f.Paired())
+	if rep == nil || rep.Mode != "antithetic" || rep.Pairs != 3 || f.N() != 3 {
+		t.Fatalf("antithetic report = %+v over %d observations", rep, f.N())
+	}
+	// Every pair mean is 2: zero pair variance clamps the factor finite.
+	if rep.Factor != math.MaxFloat64 {
+		t.Errorf("degenerate factor = %v, want MaxFloat64", rep.Factor)
 	}
 }
 

@@ -51,6 +51,33 @@ func (m Mode) String() string {
 	}
 }
 
+// MarshalText encodes the mode by its flag spelling. A manifest's
+// `json:"vr,omitempty"` field therefore omits ModeNone (the zero value) and
+// reads "antithetic" otherwise, so manifest bytes and content hashes stay
+// those of the string-typed field this replaced.
+func (m Mode) MarshalText() ([]byte, error) {
+	if m != ModeNone && m != ModeAntithetic {
+		return nil, fmt.Errorf("vr: unknown mode %d (want none or antithetic)", int(m))
+	}
+	return []byte(m.String()), nil
+}
+
+// UnmarshalText parses a mode as ParseMode does.
+func (m *Mode) UnmarshalText(text []byte) error {
+	mode, err := ParseMode(string(text))
+	if err != nil {
+		return err
+	}
+	*m = mode
+	return nil
+}
+
+// Fold returns an empty replication-order fold under the mode's pairing:
+// antithetic folds consecutive (plain, reflected) legs as one pair mean.
+func (m Mode) Fold(level float64) *stats.Fold {
+	return stats.NewFold(level, m == ModeAntithetic)
+}
+
 // Report is the measured outcome of an antithetic estimate, carried in
 // runner.Result and the journal's estimate record. The factor is measured,
 // not assumed: s²_leg / (2·s²_pair), the ratio of the variance a plain-MC
@@ -74,17 +101,21 @@ type Report struct {
 	LegVariance  float64 `json:"leg_variance"`
 }
 
-// NewReport builds a Report from measured pair statistics, clamping
-// non-finite values so the report always survives encoding/json (which
-// rejects ±Inf and NaN).
-func NewReport(mode Mode, pairs int, factor, legCorr, pairVar, legVar float64) *Report {
+// NewReport builds the antithetic Report from a fold's pair statistics
+// (stats.Fold.Paired), clamping non-finite values so the report always
+// survives encoding/json (which rejects ±Inf and NaN). A plain fold has no
+// pair statistics and no report: NewReport(nil) is nil.
+func NewReport(p *stats.PairedAccumulator) *Report {
+	if p == nil {
+		return nil
+	}
 	return &Report{
-		Mode:           mode.String(),
-		Pairs:          pairs,
-		Factor:         clampJSON(factor),
-		LegCorrelation: clampJSON(legCorr),
-		PairVariance:   clampJSON(pairVar),
-		LegVariance:    clampJSON(legVar),
+		Mode:           ModeAntithetic.String(),
+		Pairs:          p.Pairs(),
+		Factor:         clampJSON(p.VarianceReductionFactor()),
+		LegCorrelation: clampJSON(p.LegCorrelation()),
+		PairVariance:   clampJSON(p.PairVariance()),
+		LegVariance:    clampJSON(p.LegVariance()),
 	}
 }
 

@@ -79,7 +79,7 @@ func runVRSmoke(tb testing.TB) vrSmoke {
 	target := indep.CI(0.95).HalfWide
 
 	s := vrSmoke{shrink: comp.Sync.CIShrinkFactor}
-	s.pairedReps = stats.ReplicationsToHalfWidth(paired, 0.95, target)
+	s.pairedReps = stats.NewFold(0.95, false).ReplicationsToHalfWidth(paired, target)
 	if s.pairedReps > 0 {
 		s.speedup = float64(vrSmokeReps) / float64(s.pairedReps)
 	}
