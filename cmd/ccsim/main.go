@@ -90,6 +90,16 @@ func run(args []string) error {
 		return err
 	}
 	if *rareLevel > 0 {
+		// Splitting estimates one probability; it writes no replication
+		// journal, pairs no legs and records no phase spans.
+		switch {
+		case *journalPath != "":
+			return fmt.Errorf("-journal does not apply to -rare-level estimates")
+		case mode != vr.ModeNone:
+			return fmt.Errorf("-vr %s does not apply to -rare-level estimates", mode)
+		case *verifySpans:
+			return fmt.Errorf("-verify-spans does not apply to -rare-level estimates")
+		}
 		return runRare(cfg, *rareLevel, *rareEffort, *rareHorizon, *seed, *rareBrute)
 	}
 

@@ -67,6 +67,27 @@ func TestRunRejectsBadMode(t *testing.T) {
 	}
 }
 
+// -rare-level runs importance splitting, which has no replication journal,
+// antithetic legs or phase spans: each of those flags is an error there,
+// not silently ignored.
+func TestRunRareLevelRejectsSteadyStateFlags(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "rare.jsonl")
+	for _, tc := range []struct{ flags []string }{
+		{[]string{"-journal", journal}},
+		{[]string{"-vr", "antithetic"}},
+		{[]string{"-verify-spans"}},
+	} {
+		args := append([]string{"-procs", "8192", "-rare-level", "1", "-rare-effort", "10", "-rare-horizon", "1"}, tc.flags...)
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), tc.flags[0]) {
+			t.Errorf("%v with -rare-level: %v", tc.flags, err)
+		}
+	}
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Errorf("-rare-level left a journal file behind: %v", err)
+	}
+}
+
 func TestRunRejectsBadConfig(t *testing.T) {
 	if err := run([]string{"-procs", "-5"}); err == nil {
 		t.Fatal("negative processors accepted")

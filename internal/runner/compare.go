@@ -62,6 +62,11 @@ func Compare(a, b cluster.Config, opts Options) (Comparison, error) {
 // runs in replication order, so the comparison is bit-identical for every
 // Workers value.
 func CompareContext(ctx context.Context, a, b cluster.Config, opts Options) (Comparison, error) {
+	if opts.VarianceReduction != vr.ModeNone {
+		// A comparison pairs A with B on common random numbers; it has no
+		// reflected leg to run and no pair means to fold.
+		return Comparison{}, fmt.Errorf("runner: Compare cannot run %s variance reduction (it pairs A with B on common random numbers; use SyncReport)", opts.VarianceReduction)
+	}
 	opts = opts.withDefaults()
 	if err := opts.Validate(); err != nil {
 		return Comparison{}, err

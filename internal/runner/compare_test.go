@@ -2,9 +2,11 @@ package runner
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/vr"
 )
 
 func TestCompareIdenticalConfigsGivesZeroDiff(t *testing.T) {
@@ -74,5 +76,17 @@ func TestCompareValidation(t *testing.T) {
 	}
 	if _, err := Compare(cluster.Default(), cluster.Default(), Options{Replications: -1, Measure: 1, Confidence: 0.9}); err == nil {
 		t.Error("invalid options accepted")
+	}
+}
+
+// Compare has no reflected leg: antithetic options must fail rather than
+// silently round the replication count up and return a plain comparison.
+func TestCompareRejectsAntithetic(t *testing.T) {
+	o := quickOpts()
+	o.Replications = 3
+	o.VarianceReduction = vr.ModeAntithetic
+	_, err := Compare(cluster.Default(), cluster.Default(), o)
+	if err == nil || !strings.Contains(err.Error(), "antithetic") {
+		t.Fatalf("antithetic comparison accepted: %v", err)
 	}
 }

@@ -73,7 +73,8 @@ type Options struct {
 	// leg correlation shrinks. An odd Replications count is rounded up to
 	// complete the last pair. The measured efficiency is reported in
 	// Result.VR and the journal's estimate record; plain mode (the zero
-	// value) is bit-identical to pre-VR behavior.
+	// value) is bit-identical to pre-VR behavior. Compare rejects it: its
+	// pairs are A against B on common random numbers.
 	VarianceReduction vr.Mode
 	// SyncReport makes Compare route every stochastic purpose through its
 	// own labelled CRN sub-stream and audit the synchronization: per-purpose
