@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-smoke bench-trend cover ci validate-scenarios sweep-resume-smoke obs-smoke provenance-smoke vr-smoke figures figures-check figures-paper report examples clean
+.PHONY: all build test vet race bench bench-smoke bench-trend cover ci validate-scenarios sweep-resume-smoke obs-smoke provenance-smoke vr-smoke e2ebench-check figures figures-check figures-paper report examples clean
 
 all: build vet test
 
@@ -119,12 +119,19 @@ vr-smoke:
 	$(GO) test -run NONE -bench 'VRSmoke$$' -benchtime=1x . | $(GO) run ./cmd/ccbench record -history BENCH_HISTORY.jsonl -o BENCH_VR.json
 	$(GO) run ./cmd/ccbench compare -history BENCH_HISTORY.jsonl -metric replications_to_halfwidth -warn-only
 
+# Benchmark-module gate: e2ebench/ is its own module (go.mod with a
+# replace onto this one), so `./...` at the root never compiles it and an
+# API break in runner or blocks would otherwise surface only when the
+# benchmark runs. Build (binary discarded), vet and test it in place.
+e2ebench-check:
+	cd e2ebench && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
+
 # Everything the GitHub Actions workflow runs (.github/workflows/ci.yml),
 # locally: the tier-1 suite, the race tier, the coverage profile, the
 # scenario-catalog gate, the sweep crash-resume gate, the figure gate, the
-# fleet telemetry gate, the provenance/sentinel gate, and the
-# variance-reduction gate.
-ci: all race cover validate-scenarios sweep-resume-smoke figures-check obs-smoke provenance-smoke vr-smoke
+# fleet telemetry gate, the provenance/sentinel gate, the
+# variance-reduction gate, and the benchmark-module gate.
+ci: all race cover validate-scenarios sweep-resume-smoke figures-check obs-smoke provenance-smoke vr-smoke e2ebench-check
 
 # Regenerate every paper figure (quick scale) into results/.
 figures:
