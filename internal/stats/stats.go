@@ -1,6 +1,7 @@
 // Package stats provides the estimation machinery used to turn raw
 // simulation output into point estimates with confidence intervals: Welford
-// accumulators, Student-t intervals, time-weighted means for continuous-time
+// accumulators, the replication-order fold (plain or antithetic-paired),
+// Student-t intervals, time-weighted means for continuous-time
 // statistics, batch means for steady-state output analysis, and histograms.
 package stats
 

@@ -6,9 +6,10 @@
 // The package holds the mode vocabulary, the measured-efficiency reports
 // and the splitting algorithm; the pairing itself lives where determinism
 // is decided — seeds are assigned to (plain, reflected) pairs inside block
-// planning (internal/blocks), and the reflected routing inside the model
-// (model.Instance.SetVR) — so block-sharded sweeps stay bit-identical to
-// monolithic runs at any worker count.
+// planning (internal/blocks), the reflected routing inside the model
+// (model.Instance.SetVR), and the pair-mean estimate in the one
+// replication fold (stats.Fold, built by Mode.Fold) — so block-sharded
+// sweeps stay bit-identical to monolithic runs at any worker count.
 package vr
 
 import (
@@ -53,8 +54,8 @@ func (m Mode) String() string {
 
 // MarshalText encodes the mode by its flag spelling. A manifest's
 // `json:"vr,omitempty"` field therefore omits ModeNone (the zero value) and
-// reads "antithetic" otherwise, so manifest bytes and content hashes stay
-// those of the string-typed field this replaced.
+// reads "antithetic" otherwise, so plain manifests hash as they did before
+// variance reduction existed.
 func (m Mode) MarshalText() ([]byte, error) {
 	if m != ModeNone && m != ModeAntithetic {
 		return nil, fmt.Errorf("vr: unknown mode %d (want none or antithetic)", int(m))
