@@ -40,9 +40,10 @@ func buildCellArray(n int) (*Model, []*Place) {
 }
 
 // BenchmarkSettle measures the per-event cost of the post-firing settle on
-// a sparse 128-cell net, incremental vs full scan.
+// a sparse 32-cell net — 64 places and 64 activities, the largest net the
+// executor accepts — incremental vs full scan.
 func BenchmarkSettle(b *testing.B) {
-	const cells = 128
+	const cells = MaxSize / 2
 	for _, mode := range []struct {
 		name     string
 		fullScan bool

@@ -218,8 +218,8 @@ func TestResetReusesSchedulerState(t *testing.T) {
 		t.Fatalf("Reset left impulse state count=%d total=%v", drains.Count(), drains.Total())
 	}
 	mk := sim.Marking()
-	if len(mk.dirty) != 0 || len(mk.log) != 0 {
-		t.Fatalf("Reset left open dirty state: dirty=%v log=%v", mk.dirty, mk.log)
+	if mk.dirty != 0 || mk.unabsorbed != 0 {
+		t.Fatalf("Reset left open dirty state: dirty=%#x unabsorbed=%#x", mk.dirty, mk.unabsorbed)
 	}
 	if m.deps == nil {
 		t.Fatal("Reset dropped the dependency index")

@@ -14,11 +14,16 @@
 // treated conservatively as "reads everything" and rescanned after every
 // firing, so undeclared nets remain correct, just slower.
 //
+// The executor holds every place set and activity set as one uint64 word,
+// so a model has at most MaxSize places and MaxSize activities; the
+// paper's lumped net (Section 4) stays far below that.
+//
 // The executor in simulator.go turns a Model into a discrete-event
 // simulation on top of internal/des.
 package san
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/rng"
@@ -65,6 +70,8 @@ type DelayFunc func(m *Marking, src rng.Source) float64
 type InputGate struct {
 	Reads []*Place
 	Cond  Predicate
+
+	all []*Place // AllOf's places, compiled by Validate; nil for other gates
 }
 
 // OutputGate is a declarative firing function: the effect plus the places
@@ -85,10 +92,12 @@ func When(cond Predicate, reads ...*Place) InputGate {
 
 // AllOf builds the most common input gate declaratively: enabled exactly
 // when every listed place holds at least one token. The read-set is the
-// listed places themselves.
+// listed places themselves. Validate compiles the list into a
+// required-place mask, so the incremental executor tests the gate with one
+// AND instead of calling Cond; FullScan still calls Cond.
 func AllOf(places ...*Place) InputGate {
 	ps := append([]*Place(nil), places...)
-	return InputGate{Reads: ps, Cond: func(m *Marking) bool {
+	return InputGate{Reads: ps, all: ps, Cond: func(m *Marking) bool {
 		for _, p := range ps {
 			if !m.Has(p) {
 				return false
@@ -121,8 +130,10 @@ type Activity struct {
 	// Priority orders simultaneous instantaneous firings (higher first).
 	Priority int
 
-	index      int
-	reactivate []int32 // deduped ReactivateOn place indices, built by Validate
+	index    int
+	compiled bool   // input gate built by AllOf: enabled ⇔ present&required == required
+	required uint64 // AllOf's places as a mask, built by Validate
+	react    uint64 // ReactivateOn places as a mask, built by Validate
 }
 
 // Enabled evaluates the input gate's condition.
@@ -141,18 +152,29 @@ type Model struct {
 	deps       *depIndex // place→activity dependency index, built by Validate
 }
 
+// MaxSize bounds both the places and the activities of one model: the
+// executor represents each place set and each activity set as a single
+// uint64 word, bit i standing for the place or activity of index i.
+const MaxSize = 64
+
+// ErrTooLarge classifies a model Validate rejects for having more than
+// MaxSize places or more than MaxSize activities.
+var ErrTooLarge = errors.New("net exceeds the 64-place/64-activity executor limit")
+
 // depIndex is the place→activity dependency index: for every place, which
 // activities' enabling (and which rewards' rates, tracked separately by the
 // simulator) can change when its token count changes. Built by Validate
-// from the declared gate read-sets.
+// from the declared gate read-sets. Every activity set is a mask over
+// activity indices, so walking its bits from the lowest visits activities
+// in creation order.
 type depIndex struct {
-	enableTimed [][]int32 // place index → timed activities whose input gate reads it
-	enableInst  [][]int32 // place index → instantaneous activities whose input gate reads it
-	react       [][]int32 // place index → activities that reactivate on it
-	scanTimed   []int32   // timed activities with undeclared input read-sets
-	scanInst    []int32   // instantaneous activities with undeclared input read-sets
-	timed       []int32   // all timed activities, creation order
-	instants    []int32   // all instantaneous activities, creation order
+	enableTimed []uint64 // place index → timed activities whose input gate reads it
+	enableInst  []uint64 // place index → instantaneous activities whose input gate reads it
+	react       []uint64 // place index → activities that reactivate on it
+	scanTimed   uint64   // timed activities with undeclared input read-sets
+	scanInst    uint64   // instantaneous activities with undeclared input read-sets
+	timed       uint64   // all timed activities
+	instants    uint64   // all instantaneous activities
 }
 
 // NewModel returns an empty model.
@@ -248,18 +270,31 @@ func (mod *Model) owns(p *Place) bool {
 	return p != nil && p.index < len(mod.places) && mod.places[p.index] == p
 }
 
-// Validate checks structural well-formedness — every activity has a name,
-// an enabling predicate, a firing effect, and (if timed) a delay function;
+// ownsActivity reports whether a belongs to this model.
+func (mod *Model) ownsActivity(a *Activity) bool {
+	return a != nil && a.index < len(mod.activities) && mod.activities[a.index] == a
+}
+
+// Validate checks structural well-formedness — at most MaxSize places and
+// MaxSize activities (ErrTooLarge otherwise); every activity has a name, an
+// enabling predicate, a firing effect, and (if timed) a delay function;
 // gate read-sets and reactivation places belong to this model; only timed
 // activities reactivate — and builds the place→activity dependency index
-// used by the incremental scheduler. Duplicate ReactivateOn entries are
-// deduped. Validate is idempotent; NewSimulator calls it.
+// used by the incremental scheduler. Duplicate ReactivateOn entries
+// collapse into one mask bit. Validate is idempotent; NewSimulator calls
+// it.
 func (mod *Model) Validate() error {
+	if n := len(mod.places); n > MaxSize {
+		return fmt.Errorf("model %s: %d places: %w", mod.Name, n, ErrTooLarge)
+	}
+	if n := len(mod.activities); n > MaxSize {
+		return fmt.Errorf("model %s: %d activities: %w", mod.Name, n, ErrTooLarge)
+	}
 	seen := make(map[string]bool, len(mod.activities))
 	deps := &depIndex{
-		enableTimed: make([][]int32, len(mod.places)),
-		enableInst:  make([][]int32, len(mod.places)),
-		react:       make([][]int32, len(mod.places)),
+		enableTimed: make([]uint64, len(mod.places)),
+		enableInst:  make([]uint64, len(mod.places)),
+		react:       make([]uint64, len(mod.places)),
 	}
 	for _, a := range mod.activities {
 		switch {
@@ -279,49 +314,46 @@ func (mod *Model) Validate() error {
 			return fmt.Errorf("model %s: instantaneous activity %q has ReactivateOn (no sampled delay to resample)", mod.Name, a.Name)
 		}
 		seen[a.Name] = true
-		ai := int32(a.index)
+		bit := uint64(1) << a.index
 		for _, p := range a.Input.Reads {
 			if !mod.owns(p) {
 				return fmt.Errorf("model %s: activity %q input gate reads foreign place %q", mod.Name, a.Name, p.Name)
 			}
 			if a.Kind == Timed {
-				deps.enableTimed[p.index] = append(deps.enableTimed[p.index], ai)
+				deps.enableTimed[p.index] |= bit
 			} else {
-				deps.enableInst[p.index] = append(deps.enableInst[p.index], ai)
+				deps.enableInst[p.index] |= bit
 			}
+		}
+		a.compiled, a.required = a.Input.all != nil, 0
+		for _, p := range a.Input.all {
+			if !mod.owns(p) {
+				return fmt.Errorf("model %s: activity %q input gate reads foreign place %q", mod.Name, a.Name, p.Name)
+			}
+			a.required |= 1 << p.index
 		}
 		for _, p := range a.Output.Reads {
 			if !mod.owns(p) {
 				return fmt.Errorf("model %s: activity %q output gate reads foreign place %q", mod.Name, a.Name, p.Name)
 			}
 		}
-		a.reactivate = a.reactivate[:0]
+		a.react = 0
 		for _, p := range a.ReactivateOn {
 			if !mod.owns(p) {
 				return fmt.Errorf("model %s: activity %q reactivates on foreign place %q", mod.Name, a.Name, p.Name)
 			}
-			dup := false
-			for _, idx := range a.reactivate {
-				if idx == int32(p.index) {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			a.reactivate = append(a.reactivate, int32(p.index))
-			deps.react[p.index] = append(deps.react[p.index], ai)
+			a.react |= 1 << p.index
+			deps.react[p.index] |= bit
 		}
 		if a.Kind == Timed {
-			deps.timed = append(deps.timed, ai)
+			deps.timed |= bit
 			if len(a.Input.Reads) == 0 {
-				deps.scanTimed = append(deps.scanTimed, ai)
+				deps.scanTimed |= bit
 			}
 		} else {
-			deps.instants = append(deps.instants, ai)
+			deps.instants |= bit
 			if len(a.Input.Reads) == 0 {
-				deps.scanInst = append(deps.scanInst, ai)
+				deps.scanInst |= bit
 			}
 		}
 	}

@@ -127,15 +127,16 @@ func TestValidateDedupesReactivateOn(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.reactivate) != 1 || a.reactivate[0] != int32(mode.index) {
-		t.Fatalf("reactivate = %v, want single entry for %q", a.reactivate, mode.Name)
+	want := uint64(1) << mode.index
+	if a.react != want || m.deps.react[mode.index] != 1<<a.index {
+		t.Fatalf("react = %#x (place row %#x), want single bit for %q", a.react, m.deps.react[mode.index], mode.Name)
 	}
-	// Validate is idempotent: a second pass must not re-duplicate.
+	// Validate is idempotent: a second pass must rebuild the same masks.
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.reactivate) != 1 {
-		t.Fatalf("second Validate changed reactivate: %v", a.reactivate)
+	if a.react != want {
+		t.Fatalf("second Validate changed react: %#x", a.react)
 	}
 }
 

@@ -3,7 +3,7 @@ package san
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 	"sort"
 
 	"repro/internal/des"
@@ -12,30 +12,34 @@ import (
 )
 
 // Marking is the read/write view of the net's state passed to predicates
-// and effects. Besides the token counts it keeps two change records that
-// drive the incremental scheduler:
+// and effects. Besides the token counts it keeps four place masks (bit i
+// stands for the place of index i) that drive the incremental scheduler:
 //
-//   - log: every value change since the last settle, in change order and
-//     without dedup — consumed per-firing (instantaneous enabling, rate
-//     reward refresh);
-//   - dirty + stamp/gen: the deduped set of places changed since the last
-//     settle — consumed once per settle (timed reconciliation,
-//     reactivation). A generation counter replaces the old per-firing
-//     map[int]bool, so clearing is O(1) with no map churn.
+//   - present: the places holding at least one token, which compiled AllOf
+//     gates test with one AND;
+//   - dirty: places changed since the last settle — consumed once per
+//     settle (timed reconciliation, reactivation);
+//   - unabsorbed: places changed since the instantaneous-enabling cache
+//     last absorbed changes — consumed once per instantaneous pick;
+//   - changed: places changed by the current firing — consumed by the rate
+//     reward refresh.
+//
+// Every change sets a bit in each of the last three, so clearing any of
+// them is one store.
 type Marking struct {
-	tokens []int
-	stamp  []uint64 // generation when the place last changed
-	gen    uint64   // current generation; stamp[i] == gen ⇔ i is dirty
-	dirty  []int32  // places changed this generation, deduped
-	log    []int32  // every change this generation, in order, with repeats
-	model  *Model
+	tokens     []int
+	present    uint64
+	dirty      uint64
+	unabsorbed uint64
+	changed    uint64
+	model      *Model
 }
 
 // Get returns the number of tokens in p.
 func (m *Marking) Get(p *Place) int { return m.tokens[p.index] }
 
 // Has reports whether p holds at least one token.
-func (m *Marking) Has(p *Place) bool { return m.tokens[p.index] > 0 }
+func (m *Marking) Has(p *Place) bool { return m.present&(1<<p.index) != 0 }
 
 // Set assigns the token count of p. Negative counts panic: they always
 // indicate a broken gate function.
@@ -47,12 +51,15 @@ func (m *Marking) Set(p *Place, n int) {
 		return
 	}
 	m.tokens[p.index] = n
-	idx := int32(p.index)
-	if m.stamp[p.index] != m.gen {
-		m.stamp[p.index] = m.gen
-		m.dirty = append(m.dirty, idx)
+	bit := uint64(1) << p.index
+	if n > 0 {
+		m.present |= bit
+	} else {
+		m.present &^= bit
 	}
-	m.log = append(m.log, idx)
+	m.dirty |= bit
+	m.unabsorbed |= bit
+	m.changed |= bit
 }
 
 // Add adds delta tokens to p (delta may be negative).
@@ -70,16 +77,6 @@ func (m *Marking) Move(src, dst *Place) {
 
 // Clear removes all tokens from p.
 func (m *Marking) Clear(p *Place) { m.Set(p, 0) }
-
-// clearDirty closes the current change generation: O(1), no allocation.
-func (m *Marking) clearDirty() {
-	m.gen++
-	m.dirty = m.dirty[:0]
-	m.log = m.log[:0]
-}
-
-// dirtyNow reports whether place index pi changed in the open generation.
-func (m *Marking) dirtyNow(pi int32) bool { return m.stamp[pi] == m.gen }
 
 // RateReward integrates a marking-dependent rate over simulated time, the
 // SAN analogue of accumulated reward (the paper's useful-work measure is
@@ -145,24 +142,16 @@ type Simulator struct {
 	marking   *Marking
 	scheduled []des.Handle        // per-activity pending event (zero when disabled)
 	enabled   []bool              // timed activities: scheduled at last reconcile
-	instOn    []bool              // instantaneous activities: cached input-gate truth
+	instOn    uint64              // instantaneous activities: cached input-gate truth
 	handlers  []func(*des.Engine) // per-activity firing handlers, built once
 
 	rates     []*RateReward
-	rateWatch [][]int32 // place index → rate rewards whose declared reads include it
-	rateScan  []int32   // rate rewards with undeclared read-sets
-	rateMark  []uint64  // per-reward dedup stamps for one refresh pass
-	rateGen   uint64
+	rateWatch []uint64 // place index → rate rewards whose declared reads include it
+	rateScan  uint64   // rate rewards with undeclared read-sets
 
 	impulses [][]*ImpulseHook // per-activity impulse hooks
 
-	// Scratch state for the affected-activity closure of one settle.
-	actMark  []uint64 // per-activity dedup stamps
-	actGen   uint64
-	affected []int32
-
-	instCursor int // prefix of marking.log already absorbed into instOn
-	firedAct   int // timed activity whose event fired this settle (-1: none)
+	firedAct int // timed activity whose event fired this settle (-1: none)
 
 	trace      TraceFunc
 	hooks      []TraceFunc
@@ -268,9 +257,8 @@ func NewSimulator(model *Model, src rng.Source) (*Simulator, error) {
 	s := &Simulator{
 		model:           model,
 		src:             src,
-		rateWatch:       make([][]int32, len(model.places)),
+		rateWatch:       make([]uint64, len(model.places)),
 		impulses:        make([][]*ImpulseHook, len(model.activities)),
-		actMark:         make([]uint64, len(model.activities)),
 		firedAct:        -1,
 		MaxInstantChain: 10000,
 	}
@@ -301,43 +289,34 @@ func NewSimulator(model *Model, src rng.Source) (*Simulator, error) {
 // reused, so a reset trajectory reaches steady state without allocating.
 // Trajectories on a reset simulator are bit-identical to ones on a freshly
 // built simulator fed the same random stream: the engine restarts its FIFO
-// sequence numbers, every place starts dirty so the initial settle
-// reconciles in creation order, and the dedup generations (marking.gen,
-// actGen, rateGen) only ever need to be distinct, not equal.
+// sequence numbers and every place starts dirty, so the initial settle
+// reconciles every activity in creation order.
 func (s *Simulator) Reset() {
 	n := len(s.model.places)
 	nActs := len(s.model.activities)
 	if s.marking == nil { // first construction
-		s.marking = &Marking{tokens: make([]int, n), stamp: make([]uint64, n), model: s.model}
+		s.marking = &Marking{tokens: make([]int, n), model: s.model}
 		s.eng = des.New()
 		s.scheduled = make([]des.Handle, nActs)
 		s.enabled = make([]bool, nActs)
-		s.instOn = make([]bool, nActs)
 	} else {
 		s.eng.Reset()
-		for i := range s.scheduled {
-			s.scheduled[i] = des.Handle{}
-		}
-		for i := range s.enabled {
-			s.enabled[i] = false
-		}
-		for i := range s.instOn {
-			s.instOn[i] = false
-		}
+		clear(s.scheduled)
+		clear(s.enabled)
 	}
+	s.instOn = 0
 	m := s.marking
-	m.gen++
-	m.dirty = m.dirty[:0]
-	m.log = m.log[:0]
-	// Every place starts dirty so the first settle performs the initial
-	// reconciliation through the same incremental path as any other.
+	m.present = 0
 	for _, p := range s.model.places {
 		m.tokens[p.index] = p.Initial
-		m.stamp[p.index] = m.gen
-		m.dirty = append(m.dirty, int32(p.index))
-		m.log = append(m.log, int32(p.index))
+		if p.Initial > 0 {
+			m.present |= 1 << p.index
+		}
 	}
-	s.instCursor = 0
+	// Every place starts dirty so the first settle performs the initial
+	// reconciliation through the same incremental path as any other.
+	all := uint64(1)<<n - 1 // n ≤ MaxSize; the shift wraps to all ones at 64
+	m.dirty, m.unabsorbed = all, all
 	s.firedAct = -1
 	for _, hooks := range s.impulses {
 		for _, h := range hooks {
@@ -401,29 +380,37 @@ func (s *Simulator) AddInvariant(name string, check func(m *Marking) error) {
 // The variadic reads declare the places the rate function depends on; with
 // them the incremental scheduler re-evaluates the rate only when one of
 // those places changes. Omitting reads is always correct but re-evaluates
-// the rate after every firing.
+// the rate after every firing. A simulator holds at most MaxSize rate
+// rewards; registering one more panics.
 func (s *Simulator) AddRateReward(name string, rate func(m *Marking) float64, reads ...*Place) *RateReward {
-	r := &RateReward{Name: name, Rate: rate}
-	r.lastRate = rate(s.marking)
-	r.lastTime = s.eng.Now()
-	ri := int32(len(s.rates))
-	s.rates = append(s.rates, r)
-	s.rateMark = append(s.rateMark, 0)
-	if len(reads) == 0 {
-		s.rateScan = append(s.rateScan, ri)
-		return r
+	if len(s.rates) == MaxSize {
+		panic(fmt.Sprintf("san: rate reward %q exceeds the limit of %d rate rewards", name, MaxSize))
 	}
 	for _, p := range reads {
 		if !s.model.owns(p) {
 			panic(fmt.Sprintf("san: rate reward %q reads foreign place %q", name, p.Name))
 		}
-		s.rateWatch[p.index] = append(s.rateWatch[p.index], ri)
+	}
+	r := &RateReward{Name: name, Rate: rate}
+	r.lastRate = rate(s.marking)
+	r.lastTime = s.eng.Now()
+	bit := uint64(1) << len(s.rates)
+	s.rates = append(s.rates, r)
+	if len(reads) == 0 {
+		s.rateScan |= bit
+	}
+	for _, p := range reads {
+		s.rateWatch[p.index] |= bit
 	}
 	return r
 }
 
-// AddImpulse registers an impulse reward accrued each time act fires.
+// AddImpulse registers an impulse reward accrued each time act fires. act
+// must be an activity of this simulator's model; a foreign one panics.
 func (s *Simulator) AddImpulse(name string, act *Activity, impulse func(m *Marking) float64) *ImpulseHook {
+	if !s.model.ownsActivity(act) {
+		panic(fmt.Sprintf("san: impulse reward %q watches an activity foreign to model %s", name, s.model.Name))
+	}
 	h := &ImpulseHook{Name: name, Activity: act, Impulse: impulse}
 	s.impulses[act.index] = append(s.impulses[act.index], h)
 	return h
@@ -469,8 +456,7 @@ func (s *Simulator) settle() {
 		s.reconcileTimedDirty()
 	}
 	s.firedAct = -1
-	s.instCursor = 0
-	s.marking.clearDirty()
+	s.marking.dirty, s.marking.unabsorbed = 0, 0
 	if st := s.stats; st != nil {
 		st.settles.Inc()
 		if st.sampleTick&statsSampleMask == 0 {
@@ -480,18 +466,30 @@ func (s *Simulator) settle() {
 	}
 }
 
+// gate evaluates a's input gate for the incremental scheduler: one AND
+// against the presence word for a compiled AllOf gate, the Cond closure
+// otherwise. The full scan always calls Cond, so the differential tests
+// check every compiled mask against its closure.
+func (s *Simulator) gate(a *Activity) bool {
+	if a.compiled {
+		return s.marking.present&a.required == a.required
+	}
+	return a.Input.Cond(s.marking)
+}
+
 // nextInstantFull scans every instantaneous activity, refreshing the
 // enabling cache as it goes, and returns the highest-priority enabled one
 // (ties break by creation order for determinism), or nil.
 func (s *Simulator) nextInstantFull() *Activity {
 	var best *Activity
-	for _, ai := range s.model.deps.instants {
+	for set := s.model.deps.instants; set != 0; set &= set - 1 {
+		ai := bits.TrailingZeros64(set)
 		a := s.model.activities[ai]
-		on := a.Input.Cond(s.marking)
-		s.instOn[ai] = on
-		if !on {
+		if !a.Input.Cond(s.marking) {
+			s.instOn &^= 1 << ai
 			continue
 		}
+		s.instOn |= 1 << ai
 		if best == nil || a.Priority > best.Priority {
 			best = a
 		}
@@ -504,36 +502,32 @@ func (s *Simulator) nextInstantFull() *Activity {
 // the undeclared ones, updating the enabling cache.
 func (s *Simulator) absorbInstantDirt() {
 	m := s.marking
-	if s.instCursor == len(m.log) {
+	if m.unabsorbed == 0 {
 		return
 	}
 	deps := s.model.deps
-	s.actGen++
-	for _, pi := range m.log[s.instCursor:] {
-		for _, ai := range deps.enableInst[pi] {
-			if s.actMark[ai] == s.actGen {
-				continue
-			}
-			s.actMark[ai] = s.actGen
-			s.instOn[ai] = s.model.activities[ai].Input.Cond(m)
+	set := deps.scanInst
+	for d := m.unabsorbed; d != 0; d &= d - 1 {
+		set |= deps.enableInst[bits.TrailingZeros64(d)]
+	}
+	m.unabsorbed = 0
+	for ; set != 0; set &= set - 1 {
+		ai := bits.TrailingZeros64(set)
+		if s.gate(s.model.activities[ai]) {
+			s.instOn |= 1 << ai
+		} else {
+			s.instOn &^= 1 << ai
 		}
 	}
-	for _, ai := range deps.scanInst {
-		s.instOn[ai] = s.model.activities[ai].Input.Cond(m)
-	}
-	s.instCursor = len(m.log)
 }
 
 // nextInstantCached picks the highest-priority enabled instantaneous
-// activity from the cache maintained by absorbInstantDirt. Creation-order
-// iteration preserves the full scan's tie-breaking exactly.
+// activity from the cache maintained by absorbInstantDirt. Ascending-index
+// iteration is creation order, preserving the full scan's tie-breaking.
 func (s *Simulator) nextInstantCached() *Activity {
 	var best *Activity
-	for _, ai := range s.model.deps.instants {
-		if !s.instOn[ai] {
-			continue
-		}
-		a := s.model.activities[ai]
+	for set := s.instOn; set != 0; set &= set - 1 {
+		a := s.model.activities[bits.TrailingZeros64(set)]
 		if best == nil || a.Priority > best.Priority {
 			best = a
 		}
@@ -545,63 +539,47 @@ func (s *Simulator) nextInstantCached() *Activity {
 // newly-enabled ones, and resamples activities whose reactivation places
 // changed — scanning every timed activity (the historic scheduler).
 func (s *Simulator) reconcileTimedFull() {
+	timed := s.model.deps.timed
 	if st := s.stats; st != nil && st.sampleTick&statsSampleMask == 0 {
-		st.closureFull.Observe(float64(len(s.model.deps.timed)))
+		st.closureFull.Observe(float64(bits.OnesCount64(timed)))
 	}
-	for _, ai := range s.model.deps.timed {
-		s.reconcileOne(s.model.activities[ai])
+	for ; timed != 0; timed &= timed - 1 {
+		a := s.model.activities[bits.TrailingZeros64(timed)]
+		s.reconcileOne(a, a.Input.Cond(s.marking))
 	}
 }
 
 // reconcileTimedDirty reconciles only the timed activities in the dirty
 // closure: watchers of changed places (enabling or reactivation),
-// undeclared activities, and the activity that fired. Processing in
-// creation order keeps delay-sampling order — and therefore the random
-// stream — identical to the full scan.
+// undeclared activities, and the activity that fired. Walking the closure
+// mask from its lowest bit is creation order, which keeps delay-sampling
+// order — and therefore the random stream — identical to the full scan.
 func (s *Simulator) reconcileTimedDirty() {
 	m := s.marking
 	deps := s.model.deps
-	s.actGen++
-	s.affected = s.affected[:0]
+	var set uint64
 	if fa := s.firedAct; fa >= 0 {
-		s.actMark[fa] = s.actGen
-		s.affected = append(s.affected, int32(fa))
+		set = 1 << fa
 	}
-	for _, pi := range m.dirty {
-		for _, ai := range deps.enableTimed[pi] {
-			if s.actMark[ai] != s.actGen {
-				s.actMark[ai] = s.actGen
-				s.affected = append(s.affected, ai)
-			}
-		}
-		for _, ai := range deps.react[pi] {
-			if s.actMark[ai] != s.actGen {
-				s.actMark[ai] = s.actGen
-				s.affected = append(s.affected, ai)
-			}
+	if m.dirty != 0 {
+		set |= deps.scanTimed
+		for d := m.dirty; d != 0; d &= d - 1 {
+			pi := bits.TrailingZeros64(d)
+			set |= deps.enableTimed[pi] | deps.react[pi]
 		}
 	}
-	if len(m.dirty) > 0 {
-		for _, ai := range deps.scanTimed {
-			if s.actMark[ai] != s.actGen {
-				s.actMark[ai] = s.actGen
-				s.affected = append(s.affected, ai)
-			}
-		}
-	}
-	slices.Sort(s.affected)
 	if st := s.stats; st != nil && st.sampleTick&statsSampleMask == 0 {
-		st.closureInc.Observe(float64(len(s.affected)))
+		st.closureInc.Observe(float64(bits.OnesCount64(set)))
 	}
-	for _, ai := range s.affected {
-		s.reconcileOne(s.model.activities[ai])
+	for ; set != 0; set &= set - 1 {
+		a := s.model.activities[bits.TrailingZeros64(set)]
+		s.reconcileOne(a, s.gate(a))
 	}
 }
 
 // reconcileOne applies the schedule/cancel/resample decision for one timed
-// activity against the current marking.
-func (s *Simulator) reconcileOne(a *Activity) {
-	on := a.Input.Cond(s.marking)
+// activity whose input gate now evaluates to on.
+func (s *Simulator) reconcileOne(a *Activity, on bool) {
 	was := s.enabled[a.index]
 	switch {
 	case on && !was:
@@ -610,24 +588,13 @@ func (s *Simulator) reconcileOne(a *Activity) {
 		s.eng.Cancel(s.scheduled[a.index])
 		s.scheduled[a.index] = des.Handle{}
 		s.enabled[a.index] = false
-	case on && was && s.touched(a):
+	case on && was && a.react&s.marking.dirty != 0:
 		s.eng.Cancel(s.scheduled[a.index])
 		s.schedule(a)
 		if st := s.stats; st != nil {
 			st.reactivations.Inc()
 		}
 	}
-}
-
-// touched reports whether any of the activity's reactivation places changed
-// during the current settle.
-func (s *Simulator) touched(a *Activity) bool {
-	for _, pi := range a.reactivate {
-		if s.marking.dirtyNow(pi) {
-			return true
-		}
-	}
-	return false
 }
 
 // schedule samples a delay for a and enqueues its firing.
@@ -651,7 +618,7 @@ func (s *Simulator) fire(a *Activity) {
 		}
 	}
 	s.accrueRates(now)
-	preLog := len(s.marking.log)
+	s.marking.changed = 0
 	a.Output.Apply(s.marking)
 	for _, h := range s.impulses[a.index] {
 		h.total += h.Impulse(s.marking)
@@ -660,7 +627,7 @@ func (s *Simulator) fire(a *Activity) {
 	if s.FullScan {
 		s.refreshRatesFull(now)
 	} else {
-		s.refreshRatesDirty(now, preLog)
+		s.refreshRatesDirty(now)
 	}
 	for _, inv := range s.invariants {
 		if err := inv.Check(s.marking); err != nil {
@@ -696,28 +663,20 @@ func (s *Simulator) refreshRatesFull(t float64) {
 }
 
 // refreshRatesDirty re-evaluates only the rates whose declared reads
-// include a place changed by this firing (the marking log past from), plus
-// the undeclared ones. A skipped rate would have re-evaluated to the same
-// value, so the accrued integrals stay bit-identical to the full scan.
-func (s *Simulator) refreshRatesDirty(t float64, from int) {
+// include a place changed by this firing, plus the undeclared ones, each
+// once. A skipped rate would have re-evaluated to the same value, so the
+// accrued integrals stay bit-identical to the full scan.
+func (s *Simulator) refreshRatesDirty(t float64) {
 	m := s.marking
-	if len(m.log) == from {
+	if m.changed == 0 {
 		return
 	}
-	s.rateGen++
-	for _, pi := range m.log[from:] {
-		for _, ri := range s.rateWatch[pi] {
-			if s.rateMark[ri] == s.rateGen {
-				continue
-			}
-			s.rateMark[ri] = s.rateGen
-			r := s.rates[ri]
-			r.lastRate = r.Rate(m)
-			r.lastTime = t
-		}
+	set := s.rateScan
+	for d := m.changed; d != 0; d &= d - 1 {
+		set |= s.rateWatch[bits.TrailingZeros64(d)]
 	}
-	for _, ri := range s.rateScan {
-		r := s.rates[ri]
+	for ; set != 0; set &= set - 1 {
+		r := s.rates[bits.TrailingZeros64(set)]
 		r.lastRate = r.Rate(m)
 		r.lastTime = t
 	}
