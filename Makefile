@@ -128,11 +128,12 @@ e2ebench-check:
 	cd e2ebench && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
 
 # Everything the GitHub Actions workflow runs (.github/workflows/ci.yml),
-# locally: the tier-1 suite, the race tier, the coverage profile, the
-# scenario-catalog gate, the sweep crash-resume gate, the figure gate, the
-# fleet telemetry gate, the provenance/sentinel gate, the
-# variance-reduction gate, and the benchmark-module gate.
-ci: all race cover validate-scenarios sweep-resume-smoke figures-check obs-smoke provenance-smoke vr-smoke e2ebench-check
+# locally: the tier-1 suite, every example run once, the race tier, the
+# coverage profile, the scenario-catalog gate, the sweep crash-resume
+# gate, the figure gate, the fleet telemetry gate, the
+# provenance/sentinel gate, the variance-reduction gate, and the
+# benchmark-module gate.
+ci: all examples race cover validate-scenarios sweep-resume-smoke figures-check obs-smoke provenance-smoke vr-smoke e2ebench-check
 
 # Regenerate every paper figure (quick scale) into results/.
 figures:
@@ -155,7 +156,8 @@ figures-paper:
 report:
 	$(GO) run ./cmd/ccreport -o REPORT.md
 
-# Run every example once.
+# Run every example once: they drive the public API end to end (capacity
+# through OptimalProcessors, jobplanner through Sensitivity and Compare).
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/capacity

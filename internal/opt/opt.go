@@ -83,9 +83,13 @@ func OptimalTimeout(base cluster.Config, candidates []float64, opts runner.Optio
 // search evaluates every candidate as one job on the worker pool
 // (opts.Workers wide; candidate seeds are derived from the candidate index
 // alone, so the sweep is deterministic for any worker count) and ranks by
-// the objective mean.
+// the objective mean. A journal is rejected: the candidates' estimates
+// would write into it concurrently, in scheduling order and unlabelled.
 func search(base cluster.Config, xs []float64,
 	mutate func(*cluster.Config, float64), obj objective, opts runner.Options) (Search, error) {
+	if opts.Journal != nil {
+		return Search{}, fmt.Errorf("opt: Options.Journal is not supported (candidates run concurrently)")
+	}
 	seedBase := opts.Seed
 	if seedBase == 0 {
 		seedBase = 1

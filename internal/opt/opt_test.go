@@ -1,9 +1,11 @@
 package opt
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -82,6 +84,27 @@ func TestEmptyCandidates(t *testing.T) {
 	}
 	if _, err := OptimalTimeout(cluster.Default(), nil, quickOpts()); err == nil {
 		t.Error("empty timeout candidates accepted")
+	}
+}
+
+// The candidates' estimates run concurrently, so a shared journal would
+// collect their records in scheduling order with no candidate label: the
+// searches must refuse one before simulating anything.
+func TestSearchesRejectJournal(t *testing.T) {
+	var buf bytes.Buffer
+	o := runner.Options{Replications: 2, Warmup: 20, Measure: 200, Workers: 2, Journal: obs.NewJournal(&buf)}
+	base := cluster.Default()
+	if _, err := OptimalProcessors(base, []int{8192, 16384}, o); err == nil {
+		t.Error("OptimalProcessors accepted a journal")
+	}
+	if _, err := OptimalInterval(base, []float64{cluster.Minutes(15), cluster.Minutes(30)}, o); err == nil {
+		t.Error("OptimalInterval accepted a journal")
+	}
+	if _, err := OptimalTimeout(base, []float64{0, cluster.Minutes(1)}, o); err == nil {
+		t.Error("OptimalTimeout accepted a journal")
+	}
+	if buf.Len() != 0 {
+		t.Errorf("rejected searches journaled %d bytes", buf.Len())
 	}
 }
 

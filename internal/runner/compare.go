@@ -3,12 +3,10 @@ package runner
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/blocks"
 	"repro/internal/cluster"
-	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/phasetrace"
@@ -56,11 +54,13 @@ func Compare(a, b cluster.Config, opts Options) (Comparison, error) {
 	return CompareContext(context.Background(), a, b, opts)
 }
 
-// CompareContext is Compare with cancellation. Each replication pair
-// (A and B under the same seed) is one job on the worker pool; as with
-// EstimateContext, seeds are assigned before dispatch and the reduction
-// runs in replication order, so the comparison is bit-identical for every
-// Workers value.
+// CompareContext is Compare with cancellation. A comparison is a two-cell
+// plan, cell A and cell B on one root seed. Cell A's block runs whole
+// through the estimate path, then cell B's, so each leg is bit-identical
+// for every Workers value, journals and verifies spans as an estimate
+// does, and reports its own progress. The journal holds one provenance
+// record (when set), then A's records labelled "A", then B's labelled "B":
+// the reduced journal of the same plan run through a run directory.
 func CompareContext(ctx context.Context, a, b cluster.Config, opts Options) (Comparison, error) {
 	if opts.VarianceReduction != vr.ModeNone {
 		// A comparison pairs A with B on common random numbers; it has no
@@ -77,10 +77,9 @@ func CompareContext(ctx context.Context, a, b cluster.Config, opts Options) (Com
 	if err := b.Validate(); err != nil {
 		return Comparison{}, fmt.Errorf("runner: config B: %w", err)
 	}
-	// A comparison is a two-cell plan sharing one root seed: cell A and
-	// cell B draw identical seed streams, which is the common-random-numbers
-	// pairing. Planning it through the block planner keeps the seed
-	// derivation in one place.
+	// Cell A and cell B draw identical seed streams, which is the
+	// common-random-numbers pairing. Planning it through the block planner
+	// keeps the seed derivation in one place.
 	plan, err := blocks.Plan([]blocks.Cell{
 		{Label: "A", Seed: opts.Seed, Replications: opts.Replications, Config: a},
 		{Label: "B", Seed: opts.Seed, Replications: opts.Replications, Config: b},
@@ -94,65 +93,37 @@ func CompareContext(ctx context.Context, a, b cluster.Config, opts Options) (Com
 	if err != nil {
 		return Comparison{}, fmt.Errorf("runner: %w", err)
 	}
-	seeds := plan.Blocks[0].Seeds // == Blocks[1].Seeds: same root seed
-	type pair struct {
-		a, b           model.Metrics
-		drawsA, drawsB []uint64
-	}
-	var events atomic.Uint64
-	// One cache per worker covers both configurations: a worker holds at
-	// most one A instance and one B instance and recycles them pair after
-	// pair.
-	pairs, err := exec.MapLocal(ctx, pool(opts, &events), opts.Replications, newInstanceCache,
-		func(_ context.Context, cache *instanceCache, r int) (pair, error) {
-			oa, err := runOne(a, seeds[r], false, opts, cache)
-			events.Add(oa.fired)
-			if err != nil {
-				return pair{}, err
-			}
-			ob, err := runOne(b, seeds[r], false, opts, cache)
-			events.Add(ob.fired)
-			if err != nil {
-				return pair{}, err
-			}
-			return pair{oa.metrics, ob.metrics, oa.draws, ob.draws}, nil
-		})
-	if err != nil {
-		return Comparison{}, err
-	}
-	var (
-		comp              Comparison
-		fracDiff, totDiff stats.Accumulator
-		fracA, totA       stats.Accumulator
-		fracB, totB       stats.Accumulator
-	)
-	for _, p := range pairs {
-		comp.A.PerReplication = append(comp.A.PerReplication, p.a)
-		comp.B.PerReplication = append(comp.B.PerReplication, p.b)
-		fracA.Add(p.a.UsefulWorkFraction)
-		fracB.Add(p.b.UsefulWorkFraction)
-		totA.Add(p.a.TotalUsefulWork)
-		totB.Add(p.b.TotalUsefulWork)
-		fracDiff.Add(p.b.UsefulWorkFraction - p.a.UsefulWorkFraction)
-		totDiff.Add(p.b.TotalUsefulWork - p.a.TotalUsefulWork)
-	}
-	comp.A.UsefulWorkFraction = fracA.CI(opts.Confidence)
-	comp.A.TotalUsefulWork = totA.CI(opts.Confidence)
-	comp.B.UsefulWorkFraction = fracB.CI(opts.Confidence)
-	comp.B.TotalUsefulWork = totB.CI(opts.Confidence)
-	comp.FractionDiff = fracDiff.CI(opts.Confidence)
-	comp.TotalDiff = totDiff.CI(opts.Confidence)
-	if opts.SyncReport {
-		drawsA := make([][]uint64, len(pairs))
-		drawsB := make([][]uint64, len(pairs))
-		outA := make([]float64, len(pairs))
-		outB := make([]float64, len(pairs))
-		for r, p := range pairs {
-			drawsA[r], drawsB[r] = p.drawsA, p.drawsB
-			outA[r] = p.a.UsefulWorkFraction
-			outB[r] = p.b.UsefulWorkFraction
+	var comp Comparison
+	legs := []*Result{&comp.A, &comp.B}
+	outs := make([][]repOut, len(legs))
+	for i, blk := range plan.Blocks {
+		cell := plan.Cells[blk.CellIndex]
+		o := opts
+		o.Label = cell.Label
+		if i > 0 {
+			o.Provenance = nil // one provenance record leads the journal
 		}
-		rep := vr.BuildSyncReport(model.PurposeNames(), drawsA, drawsB, outA, outB)
+		*legs[i], outs[i], err = estimateBlock(ctx, cell.Config, blk, o)
+		if err != nil {
+			return Comparison{}, err
+		}
+	}
+	// The paired intervals fold the per-replication differences B − A;
+	// the CRN audit pairs the legs' draw counts replication by replication.
+	n := opts.Replications
+	fracDiff, totDiff := stats.NewFold(opts.Confidence, false), stats.NewFold(opts.Confidence, false)
+	drawsA, drawsB := make([][]uint64, n), make([][]uint64, n)
+	fracA, fracB := make([]float64, n), make([]float64, n)
+	for r := range n {
+		oa, ob := outs[0][r], outs[1][r]
+		fracA[r], fracB[r] = oa.metrics.UsefulWorkFraction, ob.metrics.UsefulWorkFraction
+		drawsA[r], drawsB[r] = oa.draws, ob.draws
+		fracDiff.Add(fracB[r] - fracA[r])
+		totDiff.Add(ob.metrics.TotalUsefulWork - oa.metrics.TotalUsefulWork)
+	}
+	comp.FractionDiff, comp.TotalDiff = fracDiff.CI(), totDiff.CI()
+	if opts.SyncReport {
+		rep := vr.BuildSyncReport(model.PurposeNames(), drawsA, drawsB, fracA, fracB)
 		comp.Sync = &rep
 	}
 	return comp, nil

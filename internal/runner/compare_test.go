@@ -1,11 +1,17 @@
 package runner
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/blocks"
 	"repro/internal/cluster"
+	"repro/internal/obs"
+	"repro/internal/provenance"
 	"repro/internal/vr"
 )
 
@@ -88,5 +94,107 @@ func TestCompareRejectsAntithetic(t *testing.T) {
 	_, err := Compare(cluster.Default(), cluster.Default(), o)
 	if err == nil || !strings.Contains(err.Error(), "antithetic") {
 		t.Fatalf("antithetic comparison accepted: %v", err)
+	}
+}
+
+// A comparison is its two-cell plan: with no provenance stamp, its journal
+// must be the reduced journal of the same plan run through a run directory
+// by BlockRunner, at any block size — the sharded ≡ monolithic contract,
+// extended to comparisons.
+func TestCompareJournalIsReducedPlan(t *testing.T) {
+	a := cluster.Default()
+	b := a
+	b.CheckpointInterval = cluster.Minutes(60)
+	o := quickOpts()
+	o.Replications = 4
+	var mono bytes.Buffer
+	mo := o
+	mo.Journal = obs.NewJournal(&mono)
+	if _, err := Compare(a, b, mo); err != nil {
+		t.Fatal(err)
+	}
+	want := journalLines(t, &mono)
+	cells := []blocks.Cell{{Label: "A", Seed: o.Seed, Config: a}, {Label: "B", Seed: o.Seed, Config: b}}
+	for _, bs := range []int{1, 3} {
+		m, err := PlanGrid("compare", cells, bs, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := blocks.CreateRun(dir, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := blocks.Work(context.Background(), dir, BlockRunner(1, nil),
+			blocks.WorkerOptions{ExitWhenIdle: true, Heartbeat: -1}); err != nil {
+			t.Fatal(err)
+		}
+		_, reduced, err := blocks.Reduce(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sharded bytes.Buffer
+		if err := blocks.WriteReduced(obs.NewJournal(&sharded), m, reduced); err != nil {
+			t.Fatal(err)
+		}
+		got := journalLines(t, &sharded)
+		if len(got) != len(want) {
+			t.Fatalf("block size %d: reduced journal has %d records, comparison %d", bs, len(got), len(want))
+		}
+		for i := range want {
+			w, _ := json.Marshal(want[i])
+			g, _ := json.Marshal(got[i])
+			if !bytes.Equal(w, g) {
+				t.Fatalf("block size %d: record %d differs:\n reduced    %s\n comparison %s", bs, i, g, w)
+			}
+		}
+	}
+}
+
+// Compare journals and verifies both legs as Estimate does: one leading
+// provenance record, then leg A's records, then leg B's, and a span check
+// on each leg's result.
+func TestCompareJournalsAndVerifiesBothLegs(t *testing.T) {
+	a := cluster.Default()
+	b := a
+	b.MTTR *= 2
+	var buf bytes.Buffer
+	o := quickOpts()
+	o.Workers = 2
+	o.VerifySpans = true
+	o.Journal = obs.NewJournal(&buf)
+	stamp := provenance.Collect().WithConfig("sha256:pair")
+	o.Provenance = &stamp
+	c, err := Compare(a, b, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for leg, res := range map[string]Result{"A": c.A, "B": c.B} {
+		if sc := res.SpanCheck; sc == nil || !sc.Within {
+			t.Errorf("leg %s span check = %+v", leg, sc)
+		}
+	}
+	recs := journalLines(t, &buf)
+	n := o.Replications
+	if len(recs) != 1+2*(n+1) {
+		t.Fatalf("got %d records, want %d", len(recs), 1+2*(n+1))
+	}
+	if recs[0]["kind"] != "provenance" || recs[0]["config_hash"] != "sha256:pair" {
+		t.Fatalf("leading record = %v", recs[0])
+	}
+	for i, rec := range recs[1:] {
+		leg, k := "A", i
+		if i > n {
+			leg, k = "B", i-n-1
+		}
+		kind := "replication"
+		if k == n {
+			kind = "estimate"
+		}
+		if rec["kind"] != kind || rec["label"] != leg {
+			t.Fatalf("record %d: kind %v label %v, want %s %s", i+1, rec["kind"], rec["label"], kind, leg)
+		}
+		if kind == "estimate" && rec["span_check"] == nil {
+			t.Fatalf("leg %s estimate record has no span check", leg)
+		}
 	}
 }

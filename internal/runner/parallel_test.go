@@ -99,6 +99,37 @@ func TestEstimateProgress(t *testing.T) {
 	}
 }
 
+// Compare reports its legs in turn: each counts its own replications from
+// zero and closes with its own Final snapshot.
+func TestCompareProgressPerLeg(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		finals []Progress
+	)
+	o := quickOpts()
+	o.Workers = 2
+	o.Progress = func(p Progress) {
+		mu.Lock()
+		defer mu.Unlock()
+		if p.Final {
+			finals = append(finals, p)
+		}
+	}
+	b := cluster.Default()
+	b.MTTR *= 2
+	if _, err := Compare(cluster.Default(), b, o); err != nil {
+		t.Fatal(err)
+	}
+	if len(finals) != 2 {
+		t.Fatalf("%d final snapshots, want one per leg", len(finals))
+	}
+	for i, p := range finals {
+		if p.Done != o.Replications || p.Total != o.Replications || p.Events == 0 {
+			t.Errorf("leg %d final snapshot %+v, want Done=Total=%d with events", i, p, o.Replications)
+		}
+	}
+}
+
 func TestEstimateContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -47,7 +47,8 @@ type Options struct {
 	Workers int
 	// Progress, when non-nil, receives a snapshot after every
 	// replication state change. Calls are serialized by the pool; the
-	// callback must be fast.
+	// callback must be fast. Compare reports its legs in turn, A then B,
+	// each counting from zero with its own Final snapshot.
 	Progress func(Progress)
 	// Metrics, when non-nil, receives live telemetry: the exec pool's job
 	// counters, per-replication runner.* metrics, and the simulator's
@@ -60,10 +61,13 @@ type Options struct {
 	// per trajectory plus a closing "estimate" record. Records are written
 	// after all replications complete, in replication order, so the
 	// journal content is byte-identical for every Workers value apart from
-	// the fields named in obs.TimestampFields.
+	// the fields named in obs.TimestampFields. Compare writes leg A's
+	// records, then leg B's. Concurrent estimates must not share one: the
+	// opt and sensitivity searches reject it.
 	Journal *obs.Journal
 	// Label, when non-empty, tags every journal record of this estimate —
-	// sweeps and experiment grids use it to identify the cell.
+	// sweeps and experiment grids use it to identify the cell. Compare
+	// labels its legs "A" and "B" instead.
 	Label string
 	// VarianceReduction selects the replication-scheduling scheme.
 	// vr.ModeAntithetic runs replications as (plain, reflected) pairs
@@ -77,11 +81,12 @@ type Options struct {
 	// pairs are A against B on common random numbers.
 	VarianceReduction vr.Mode
 	// SyncReport makes Compare route every stochastic purpose through its
-	// own labelled CRN sub-stream and audit the synchronization: per-purpose
-	// draw counts per replication, the fraction of pairs that stayed on
-	// literally common variates, and the output correlation achieved
+	// own labelled CRN sub-stream and audit the synchronization from the
+	// two legs' per-purpose draw counts: the fraction of pairs that stayed
+	// on literally common variates, and the output correlation achieved
 	// (Comparison.Sync). The purpose routing changes trajectories relative
 	// to a plain Compare — it is the hardened-CRN mode, not an observer.
+	// Estimate routes the same way, so one leg re-runs alone bit for bit.
 	SyncReport bool
 	// VerifySpans attaches a phase-span recorder (internal/phasetrace) to
 	// every replication and cross-checks the span-derived useful-work
@@ -109,10 +114,10 @@ type Options struct {
 // Progress is a snapshot of an in-flight estimation.
 type Progress struct {
 	// Done and Total count finished and scheduled replications (for
-	// Compare, replication pairs).
+	// Compare, of the leg in flight).
 	Done, Total int
 	// Events is the cumulative number of simulation events fired across
-	// the completed replications.
+	// the completed replications (for Compare, of the leg in flight).
 	Events uint64
 	// Elapsed is the wall time since the estimation started.
 	Elapsed time.Duration
@@ -254,11 +259,20 @@ func EstimateContext(ctx context.Context, cfg cluster.Config, opts Options) (Res
 	if err != nil {
 		return Result{}, fmt.Errorf("runner: %w", err)
 	}
-	block := plan.Blocks[0]
+	res, _, err := estimateBlock(ctx, cfg, plan.Blocks[0], opts)
+	return res, err
+}
+
+// estimateBlock runs one planned block whole and reduces it in this
+// process: the replications through runBlock, the fold, the span check,
+// the telemetry and the journal. It is EstimateContext's body and each of
+// CompareContext's two legs, which hands back the raw outputs as well for
+// its paired fold and CRN audit.
+func estimateBlock(ctx context.Context, cfg cluster.Config, b blocks.Block, opts Options) (Result, []repOut, error) {
 	start := time.Now()
-	outs, err := runBlock(ctx, cfg, block, opts)
+	outs, err := runBlock(ctx, cfg, b, opts)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	metrics := make([]model.Metrics, len(outs))
 	for i, o := range outs {
@@ -270,16 +284,16 @@ func EstimateContext(ctx context.Context, cfg cluster.Config, opts Options) (Res
 	}
 	recordEstimate(opts, outs, res, time.Since(start))
 	if opts.Journal != nil {
-		if err := writeJournal(opts, block.Seeds, outs, res); err != nil {
-			return Result{}, fmt.Errorf("runner: journal: %w", err)
+		if err := writeJournal(opts, b.Seeds, outs, res); err != nil {
+			return Result{}, nil, fmt.Errorf("runner: journal: %w", err)
 		}
 	}
-	return res, nil
+	return res, outs, nil
 }
 
 // runBlock runs one planned block's replications on the exec pool and
 // returns their outputs in replication order. It is the one replication
-// loop: EstimateContext runs its single planned block through it and
+// loop: estimateBlock runs each whole planned block through it and
 // BlockRunner each claimed block. Each worker carries one instance cache —
 // the model is built on the worker's first replication and recycled for
 // the rest (zero-allocation hot loop; see internal/runner/cache.go for why

@@ -92,10 +92,15 @@ func (a Analysis) MostSensitive() Parameter {
 }
 
 // Analyze perturbs each parameter by the given relative factor (> 0,
-// ≠ 1, e.g. 1.2) and estimates the response with paired replications.
+// ≠ 1, e.g. 1.2) and estimates the response with paired replications. A
+// journal is rejected: the parameters' comparisons would write into it
+// concurrently, in scheduling order.
 func Analyze(cfg cluster.Config, params []Parameter, factor float64, opts runner.Options) (Analysis, error) {
 	if factor <= 0 || factor == 1 {
 		return Analysis{}, fmt.Errorf("sensitivity: factor %v must be positive and ≠ 1", factor)
+	}
+	if opts.Journal != nil {
+		return Analysis{}, fmt.Errorf("sensitivity: Options.Journal is not supported (comparisons run concurrently)")
 	}
 	if len(params) == 0 {
 		params = AllParameters()

@@ -1,9 +1,11 @@
 package sensitivity
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -69,6 +71,22 @@ func TestAnalyzeValidation(t *testing.T) {
 	bad.Processors = 0
 	if _, err := Analyze(bad, nil, 1.2, quickOpts()); err == nil {
 		t.Error("invalid base config accepted")
+	}
+}
+
+// The per-parameter comparisons run concurrently and each journals its
+// legs, so a shared journal would interleave them in scheduling order:
+// Analyze must refuse one before simulating anything.
+func TestAnalyzeRejectsJournal(t *testing.T) {
+	var buf bytes.Buffer
+	o := quickOpts()
+	o.Workers = 2
+	o.Journal = obs.NewJournal(&buf)
+	if _, err := Analyze(cluster.Default(), []Parameter{ParamMTTF, ParamMTTR}, 1.2, o); err == nil {
+		t.Error("journal accepted")
+	}
+	if buf.Len() != 0 {
+		t.Errorf("rejected analysis journaled %d bytes", buf.Len())
 	}
 }
 
