@@ -1,7 +1,10 @@
-// Package des implements the discrete-event simulation core: a simulation
-// clock and a cancellable future-event list with deterministic tie-breaking.
-// Higher layers (the SAN executor in internal/san and the message-level
-// protocol simulator in internal/protocol) schedule closures here.
+// Package des implements a general discrete-event simulation core: a
+// simulation clock and a cancellable future-event list with deterministic
+// tie-breaking. The message-level protocol simulator (internal/protocol)
+// schedules closures here. The SAN executor (internal/san) does not: a
+// timed activity has at most one pending firing, so it keeps a slot-per-
+// activity calendar of its own, with the same (time, scheduling order)
+// firing order and the same counters.
 //
 // The engine owns an intrusive free-list event pool: events that fire or are
 // cancelled return to the pool and are recycled by the next Schedule, so a
@@ -51,8 +54,8 @@ const (
 // the pool recycles that event into a new occurrence the old handle turns
 // inert — Cancel through it is a no-op and the state queries report it as
 // recycled rather than leaking the new occupant's state. This is what lets
-// san.Simulator.scheduled keep handles across firings without ever
-// cancelling someone else's event.
+// a caller keep handles across firings without ever cancelling someone
+// else's event.
 type Handle struct {
 	ev  *Event
 	gen uint64

@@ -62,8 +62,7 @@ func TestEventPoolRecycles(t *testing.T) {
 // TestStaleHandleIsInert is the generation-counter contract: once the pool
 // recycles an event into a new occurrence, old handles to it must read as
 // recycled and Cancel through them must not touch the new occupant — the
-// exact hazard for san.Simulator.scheduled, which holds handles across
-// firings.
+// exact hazard for a caller that holds handles across firings.
 func TestStaleHandleIsInert(t *testing.T) {
 	e := New()
 	old := e.Schedule(1, "old", func(*Engine) {})

@@ -98,8 +98,8 @@ func (in *Instance) SetFullScan(on bool) { in.sim.FullScan = on }
 // trajectory ends, then merge the shard.
 func (in *Instance) Instrument(sh *obs.Shard) { in.sim.Instrument(sh) }
 
-// FlushEngineStats folds the event engine's cumulative counters into the
-// attached shard (see san.Simulator.FlushEngineStats).
+// FlushEngineStats folds the executor calendar's cumulative event
+// counters into the attached shard (see san.Simulator.FlushEngineStats).
 func (in *Instance) FlushEngineStats() { in.sim.FlushEngineStats() }
 
 // Useful returns the net useful work accrued since time zero.

@@ -4,8 +4,8 @@ import "repro/internal/stats"
 
 // Recycle rewinds the instance to the state New(cfg, seed) would return,
 // without reconstructing anything: the SAN graph, its dependency index, the
-// reward registrations and the simulator (engine, event pool, queue storage,
-// per-activity caches) are all reused. Only trajectory state is rewound —
+// reward registrations and the simulator (calendar, marking, per-activity
+// caches) are all reused. Only trajectory state is rewound —
 // the random stream is reseeded in place, the reward scalars and counters
 // are zeroed, any attached phase recorder is detached, and san.Simulator.
 // Reset restores the initial marking and reschedules the initial events.
@@ -13,7 +13,7 @@ import "repro/internal/stats"
 // A recycled instance reproduces the trajectory of a freshly built one
 // bit-for-bit (pinned by TestRecycleMatchesFreshBuild across every model
 // variant × seed): the reseeded stream emits the same values, the reset
-// engine restarts its FIFO sequence numbers, and the initial settle
+// calendar restarts its sequence numbers, and the initial settle
 // reconciles in creation order exactly as at construction. This is what
 // lets runner workers build each model configuration once and reuse it for
 // all their replications with zero allocations in the measured window.
@@ -38,10 +38,12 @@ func (in *Instance) Recycle(seed uint64) {
 	in.sim.Reset()
 }
 
-// PoolStats exposes the engine's event-pool telemetry for this trajectory:
-// Schedule calls served from the free list, Schedule calls that allocated,
-// and the events currently pooled. Hits and misses rewind on Recycle, so
-// they describe the current replication only.
+// PoolStats reports the executor calendar's numbers for this trajectory in
+// the terms of a pooled event engine (see san.Simulator.PoolStats): hits
+// are schedules below the pending high-water mark, misses are schedules
+// that raised it (where a pool would allocate), and size is the mark minus
+// the firings pending. Hits and misses rewind on Recycle, so they describe
+// the current replication only.
 func (in *Instance) PoolStats() (hits, misses uint64, size int) {
 	return in.sim.PoolStats()
 }

@@ -8,7 +8,7 @@ import (
 // instanceCache is the per-worker model cache behind Estimate and Compare:
 // each exec worker builds an Instance once per configuration and recycles
 // it for every subsequent replication it claims, so the SAN graph, the
-// dependency index and the engine's event pool are constructed once per
+// dependency index and the executor's calendar are constructed once per
 // worker instead of once per replication. cluster.Config is a comparable
 // value type of plain scalars, so it keys the map directly.
 //

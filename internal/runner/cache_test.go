@@ -10,7 +10,7 @@ import (
 // TestEstimateRecyclesInstances pins that the per-worker instance cache is
 // actually in the estimate path: a sequential 4-replication run builds one
 // instance, recycles it three times, and serves the recycled replications
-// from the engine's event pool. (That recycling cannot change results is
+// from the calendar's warm pool (no schedule raises its high-water mark). (That recycling cannot change results is
 // covered by the worker-invariance tests and the model's
 // TestRecycleMatchesFreshBuild.)
 func TestEstimateRecyclesInstances(t *testing.T) {

@@ -100,7 +100,7 @@ func TestResetWithHooksAndInstrumentation(t *testing.T) {
 
 // TestResetKeepsEnginePoolWarm pins the allocation contract of the reset
 // path: the second trajectory of a reset simulator is served entirely from
-// the engine's event pool.
+// the calendar's pool — no schedule raises the pending high-water mark.
 func TestResetKeepsEnginePoolWarm(t *testing.T) {
 	m := buildHyperExpNet()
 	src := rng.New(7)

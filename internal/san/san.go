@@ -19,7 +19,10 @@
 // paper's lumped net (Section 4) stays far below that.
 //
 // The executor in simulator.go turns a Model into a discrete-event
-// simulation on top of internal/des.
+// simulation. It keeps its own event calendar (calendar.go): a timed
+// activity has at most one pending firing, so the calendar is one slot per
+// activity plus a pending mask, and simultaneous firings fire in
+// scheduling order.
 package san
 
 import (

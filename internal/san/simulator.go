@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"repro/internal/des"
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
@@ -134,20 +133,22 @@ type Invariant struct {
 // net after every firing; both schedulers produce bit-identical
 // trajectories when all read-sets are declared correctly, which the
 // differential tests assert.
+//
+// Pending timed firings live in the simulator's own calendar, one slot per
+// timed activity (see calendar): an activity is scheduled exactly when its
+// calendar bit is set.
 type Simulator struct {
 	model *Model
 	src   rng.Source
-	eng   *des.Engine
+	cal   calendar
 
-	marking   *Marking
-	scheduled []des.Handle        // per-activity pending event (zero when disabled)
-	enabled   []bool              // timed activities: scheduled at last reconcile
-	instOn    uint64              // instantaneous activities: cached input-gate truth
-	handlers  []func(*des.Engine) // per-activity firing handlers, built once
+	marking *Marking
+	instOn  uint64 // instantaneous activities: cached input-gate truth
 
 	rates     []*RateReward
 	rateWatch []uint64 // place index → rate rewards whose declared reads include it
 	rateScan  uint64   // rate rewards with undeclared read-sets
+	rateOn    uint64   // rate rewards whose current rate is non-zero (or NaN)
 
 	impulses [][]*ImpulseHook // per-activity impulse hooks
 
@@ -182,8 +183,8 @@ type simStats struct {
 	reactivations *obs.LocalCounter   // in-place delay resamples (ReactivateOn)
 	closureInc    *obs.LocalHistogram // dirty-closure sizes (incremental mode)
 	closureFull   *obs.LocalHistogram // reconcile set sizes (full-scan mode)
-	queueDepth    *obs.LocalHistogram // pending events, sampled per settle
-	engFired      *obs.LocalCounter   // filled from the engine by FlushEngineStats
+	queueDepth    *obs.LocalHistogram // pending firings, sampled per settle
+	engFired      *obs.LocalCounter   // filled from the calendar by FlushEngineStats
 	engScheduled  *obs.LocalCounter
 	engCancelled  *obs.LocalCounter
 	sampleTick    uint64 // settles seen; drives the histogram sampling below
@@ -204,7 +205,7 @@ var closureBuckets = obs.ExpBuckets(1, 2, 9) // 1..256
 
 // Instrument attaches the simulator's telemetry to sh (nil detaches):
 // firing/settle/reactivation counters, dirty-closure and queue-depth
-// histograms, and — via FlushEngineStats — the event engine's counters.
+// histograms, and — via FlushEngineStats — the calendar's event counters.
 // Call after NewSimulator (or Reset) and FlushEngineStats once when the
 // trajectory ends; then merge the shard into its registry.
 func (s *Simulator) Instrument(sh *obs.Shard) {
@@ -226,26 +227,30 @@ func (s *Simulator) Instrument(sh *obs.Shard) {
 	}
 }
 
-// FlushEngineStats folds the event engine's counters into the attached
-// shard. Call exactly once, after the trajectory's last RunUntil — the
-// engine counts are cumulative, so flushing twice without a Reset in
-// between would double-count.
+// FlushEngineStats folds the calendar's event counters (des.events_fired,
+// des.events_scheduled, des.events_cancelled) into the attached shard.
+// Call exactly once, after the trajectory's last RunUntil — the counts are
+// cumulative, so flushing twice without a Reset in between would
+// double-count.
 func (s *Simulator) FlushEngineStats() {
 	st := s.stats
 	if st == nil {
 		return
 	}
-	st.engFired.Add(s.eng.Fired())
-	st.engScheduled.Add(s.eng.Scheduled())
-	st.engCancelled.Add(s.eng.Cancelled())
+	st.engFired.Add(s.cal.fired)
+	st.engScheduled.Add(s.cal.scheduled)
+	st.engCancelled.Add(s.cal.cancelled)
 }
 
-// PoolStats exposes the engine's event-pool telemetry: Schedule calls
-// served from the free list, Schedule calls that allocated a fresh event,
-// and the number of events currently pooled. Hits and misses rewind on
-// Reset, so after a reset they describe the current trajectory only.
+// PoolStats reports the calendar's numbers in the terms of a pooled event
+// engine: hits are schedules that left the pending high-water mark
+// unchanged, misses are schedules that raised it (when a pool would have
+// allocated a fresh event), and size is the high-water mark minus the
+// firings pending (the events a pool would hold). The high-water mark
+// counts from construction; hits and misses rewind on Reset, so after a
+// reset they describe the current trajectory only.
 func (s *Simulator) PoolStats() (hits, misses uint64, size int) {
-	return s.eng.PoolHits(), s.eng.PoolMisses(), s.eng.PoolSize()
+	return s.cal.poolStats()
 }
 
 // NewSimulator validates the model (building its dependency index) and
@@ -261,49 +266,26 @@ func NewSimulator(model *Model, src rng.Source) (*Simulator, error) {
 		impulses:        make([][]*ImpulseHook, len(model.activities)),
 		firedAct:        -1,
 		MaxInstantChain: 10000,
-	}
-	s.handlers = make([]func(*des.Engine), len(model.activities))
-	for _, a := range model.activities {
-		if a.Kind != Timed {
-			continue
-		}
-		a := a
-		s.handlers[a.index] = func(*des.Engine) {
-			s.scheduled[a.index] = des.Handle{}
-			s.enabled[a.index] = false
-			s.firedAct = a.index
-			s.fire(a)
-			s.settle()
-		}
+		cal:             newCalendar(len(model.activities)),
+		marking:         &Marking{tokens: make([]int, len(model.places)), model: model},
 	}
 	s.Reset()
 	return s, nil
 }
 
-// Reset restores the initial marking, clears the event queue and rewards,
+// Reset restores the initial marking, clears the calendar and rewards,
 // and rewinds the clock to zero. The random source is NOT reset, so
 // consecutive trajectories are independent. The model's dependency index
 // and the rewards' declared read-sets are retained — only trajectory state
-// is rewound, in place: the marking, the engine (whose event pool and queue
-// storage survive via des.Engine.Reset), and the per-activity caches are
-// reused, so a reset trajectory reaches steady state without allocating.
+// is rewound, in place: the marking, the calendar and the per-activity
+// caches are reused, so a reset trajectory runs without allocating.
 // Trajectories on a reset simulator are bit-identical to ones on a freshly
-// built simulator fed the same random stream: the engine restarts its FIFO
+// built simulator fed the same random stream: the calendar restarts its
 // sequence numbers and every place starts dirty, so the initial settle
 // reconciles every activity in creation order.
 func (s *Simulator) Reset() {
 	n := len(s.model.places)
-	nActs := len(s.model.activities)
-	if s.marking == nil { // first construction
-		s.marking = &Marking{tokens: make([]int, n), model: s.model}
-		s.eng = des.New()
-		s.scheduled = make([]des.Handle, nActs)
-		s.enabled = make([]bool, nActs)
-	} else {
-		s.eng.Reset()
-		clear(s.scheduled)
-		clear(s.enabled)
-	}
+	s.cal.reset()
 	s.instOn = 0
 	m := s.marking
 	m.present = 0
@@ -324,10 +306,9 @@ func (s *Simulator) Reset() {
 		}
 	}
 	s.settle()
-	for _, r := range s.rates {
+	for i, r := range s.rates {
 		r.integral = 0
-		r.lastRate = r.Rate(s.marking)
-		r.lastTime = 0
+		s.refreshRate(i, 0)
 	}
 }
 
@@ -342,10 +323,10 @@ func (s *Simulator) Reset() {
 func (s *Simulator) SetSource(src rng.Source) { s.src = src }
 
 // Now returns the current simulated time.
-func (s *Simulator) Now() float64 { return s.eng.Now() }
+func (s *Simulator) Now() float64 { return s.cal.now }
 
 // Fired returns the number of activity firings so far.
-func (s *Simulator) Fired() uint64 { return s.eng.Fired() }
+func (s *Simulator) Fired() uint64 { return s.cal.fired }
 
 // Marking exposes the current marking (read it, don't mutate it outside
 // activity effects).
@@ -392,10 +373,9 @@ func (s *Simulator) AddRateReward(name string, rate func(m *Marking) float64, re
 		}
 	}
 	r := &RateReward{Name: name, Rate: rate}
-	r.lastRate = rate(s.marking)
-	r.lastTime = s.eng.Now()
 	bit := uint64(1) << len(s.rates)
 	s.rates = append(s.rates, r)
+	s.refreshRate(len(s.rates)-1, s.cal.now)
 	if len(reads) == 0 {
 		s.rateScan |= bit
 	}
@@ -416,16 +396,39 @@ func (s *Simulator) AddImpulse(name string, act *Activity, impulse func(m *Marki
 	return h
 }
 
-// RunUntil advances the simulation to the given time horizon. Rate rewards
-// are closed out exactly at the horizon.
+// RunUntil fires every timed activity due at or before the horizon, in
+// (due time, scheduling order) order, and leaves the clock at the horizon;
+// later firings stay scheduled. Rate rewards are closed out exactly at
+// the horizon.
 func (s *Simulator) RunUntil(horizon float64) {
-	s.eng.RunUntil(horizon)
+	for i := s.cal.next(); i >= 0 && s.cal.due[i] <= horizon; i = s.cal.next() {
+		s.fireTimed(i)
+	}
+	if s.cal.now < horizon {
+		s.cal.now = horizon
+	}
 	s.closeRates(horizon)
 }
 
 // Step fires the next scheduled activity (if any) and reports whether one
 // fired.
-func (s *Simulator) Step() bool { return s.eng.Step() }
+func (s *Simulator) Step() bool {
+	i := s.cal.next()
+	if i < 0 {
+		return false
+	}
+	s.fireTimed(i)
+	return true
+}
+
+// fireTimed fires timed activity i, the calendar's next slot, then
+// settles the net.
+func (s *Simulator) fireTimed(i int) {
+	s.cal.pop(i)
+	s.firedAct = i
+	s.fire(s.model.activities[i])
+	s.settle()
+}
 
 // settle performs the post-firing fixed point: fire enabled instantaneous
 // activities (highest priority first) until none are enabled, then
@@ -460,7 +463,7 @@ func (s *Simulator) settle() {
 	if st := s.stats; st != nil {
 		st.settles.Inc()
 		if st.sampleTick&statsSampleMask == 0 {
-			st.queueDepth.Observe(float64(s.eng.Pending()))
+			st.queueDepth.Observe(float64(s.cal.pending()))
 		}
 		st.sampleTick++
 	}
@@ -580,16 +583,14 @@ func (s *Simulator) reconcileTimedDirty() {
 // reconcileOne applies the schedule/cancel/resample decision for one timed
 // activity whose input gate now evaluates to on.
 func (s *Simulator) reconcileOne(a *Activity, on bool) {
-	was := s.enabled[a.index]
+	was := s.cal.scheduledAt(a.index)
 	switch {
 	case on && !was:
 		s.schedule(a)
 	case !on && was:
-		s.eng.Cancel(s.scheduled[a.index])
-		s.scheduled[a.index] = des.Handle{}
-		s.enabled[a.index] = false
+		s.cal.cancel(a.index)
 	case on && was && a.react&s.marking.dirty != 0:
-		s.eng.Cancel(s.scheduled[a.index])
+		s.cal.cancel(a.index)
 		s.schedule(a)
 		if st := s.stats; st != nil {
 			st.reactivations.Inc()
@@ -597,19 +598,18 @@ func (s *Simulator) reconcileOne(a *Activity, on bool) {
 	}
 }
 
-// schedule samples a delay for a and enqueues its firing.
+// schedule samples a delay for a and puts its firing on the calendar.
 func (s *Simulator) schedule(a *Activity) {
 	d := a.Delay(s.marking, s.src)
 	if d < 0 || math.IsNaN(d) {
 		panic(fmt.Sprintf("san: activity %q sampled invalid delay %v", a.Name, d))
 	}
-	s.enabled[a.index] = true
-	s.scheduled[a.index] = s.eng.ScheduleAfter(d, a.Name, s.handlers[a.index])
+	s.cal.schedule(a.index, s.cal.now+d)
 }
 
 // fire applies a's effect, accrues rewards and notifies the trace.
 func (s *Simulator) fire(a *Activity) {
-	now := s.eng.Now()
+	now := s.cal.now
 	if st := s.stats; st != nil {
 		if a.Kind == Timed {
 			st.timedFirings.Inc()
@@ -643,22 +643,41 @@ func (s *Simulator) fire(a *Activity) {
 	}
 }
 
-// accrueRates integrates each rate reward up to time t with the
-// pre-firing rate. This stays a full pass in both modes — two float
-// operations per reward, and skipping some would change the order of
-// floating-point accumulation and break bit-identity with the full scan.
+// accrueRates integrates the rate rewards up to time t with the
+// pre-firing rate, in both modes. A non-zero rate is accrued at every
+// firing: splitting or merging its steps would change the floating-point
+// sums and break bit-identity with the full scan. A zero rate is skipped,
+// which is exact — adding 0·dt leaves an integral unchanged — except at an
+// infinite clock, where 0·(+Inf) is NaN; there every reward is accrued.
 func (s *Simulator) accrueRates(t float64) {
-	for _, r := range s.rates {
+	set := s.rateOn
+	if math.IsInf(t, 1) {
+		set = 1<<len(s.rates) - 1 // len ≤ MaxSize; the shift wraps to all ones at 64
+	}
+	for ; set != 0; set &= set - 1 {
+		r := s.rates[bits.TrailingZeros64(set)]
 		r.integral += r.lastRate * (t - r.lastTime)
 		r.lastTime = t
 	}
 }
 
+// refreshRate re-evaluates rate reward i against the current marking at
+// time t and keeps its rateOn bit in step with the new rate.
+func (s *Simulator) refreshRate(i int, t float64) {
+	r := s.rates[i]
+	r.lastRate = r.Rate(s.marking)
+	r.lastTime = t
+	if r.lastRate != 0 {
+		s.rateOn |= 1 << i
+	} else {
+		s.rateOn &^= 1 << i
+	}
+}
+
 // refreshRatesFull re-evaluates every rate against the post-firing marking.
 func (s *Simulator) refreshRatesFull(t float64) {
-	for _, r := range s.rates {
-		r.lastRate = r.Rate(s.marking)
-		r.lastTime = t
+	for i := range s.rates {
+		s.refreshRate(i, t)
 	}
 }
 
@@ -676,9 +695,7 @@ func (s *Simulator) refreshRatesDirty(t float64) {
 		set |= s.rateWatch[bits.TrailingZeros64(d)]
 	}
 	for ; set != 0; set &= set - 1 {
-		r := s.rates[bits.TrailingZeros64(set)]
-		r.lastRate = r.Rate(m)
-		r.lastTime = t
+		s.refreshRate(bits.TrailingZeros64(set), t)
 	}
 }
 
