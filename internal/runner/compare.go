@@ -187,9 +187,12 @@ func runOne(cfg cluster.Config, seed uint64, reflected bool, opts Options, cache
 		sh = reg.NewShard()
 		in.Instrument(sh)
 	}
+	// Span verification folds each span into the measurement window as it
+	// closes; the replication never holds its timeline.
 	var rec *phasetrace.Recorder
 	if opts.VerifySpans {
 		rec = in.AttachPhases()
+		rec.FoldWindow(opts.Warmup, opts.Warmup+opts.Measure)
 	}
 	m, err := in.RunSteadyState(opts.Warmup, opts.Measure)
 	out := repOut{metrics: m, fired: in.Fired(), wall: time.Since(start)}
@@ -197,24 +200,22 @@ func runOne(cfg cluster.Config, seed uint64, reflected bool, opts Options, cache
 		out.draws = in.DrawCounts()
 	}
 	if rec != nil {
-		t0, t1 := opts.Warmup, opts.Warmup+opts.Measure
-		tl := rec.Finish(in.Now()).SplitRework()
-		out.spanFrac = tl.UsefulFraction(t0, t1)
-		out.phase = tl.BudgetBetween(t0, t1)
-		for _, l := range tl.Losses {
-			if l.Time > t0 && l.Time <= t1 {
-				out.rollbacks++
-				if sh != nil {
-					sh.Histogram("phase.loss_hours", lossBuckets).Observe(l.Amount)
+		w := rec.Window(in.Now())
+		out.spanFrac = w.UsefulFraction()
+		out.phase = w.Budget
+		out.rollbacks = len(w.Losses)
+		if sh != nil {
+			if len(w.Losses) > 0 {
+				h := sh.Histogram("phase.loss_hours", lossBuckets)
+				for _, l := range w.Losses {
+					h.Observe(l.Amount)
 				}
 			}
-		}
-		if sh != nil {
 			for _, p := range phasetrace.Phases() {
 				sh.Histogram("phase.hours."+p.String(), phaseBuckets).Observe(out.phase[p])
 			}
 			sh.Counter("phase.rollbacks").Add(uint64(out.rollbacks))
-			sh.Counter("phase.spans").Add(uint64(len(tl.Spans)))
+			sh.Counter("phase.spans").Add(uint64(w.Spans))
 		}
 	}
 	if sh != nil {
