@@ -33,15 +33,16 @@ bench:
 
 # Allocation-economy smoke: the des event-pool benchmark (the protocol
 # simulator's engine), the SAN executor's calendar at the base model's
-# depth, the instance-recycle benchmarks, plus the incremental base-model
-# trajectory (the san settle hot loop), archived as BENCH_5.json via
+# depth, the instance-recycle benchmarks, the incremental base-model
+# trajectory (the san settle hot loop) and the span check's window fold on a
+# recycled error-propagation instance, archived as BENCH_5.json via
 # ccbench. -benchtime=1x was a measurement
 # theater — a single iteration times mostly setup and scheduler noise, so
 # the archived ns/op could swing 10x between identical commits; 100
 # iterations × 3 samples gives compare's median+MAD detector something with
 # an actual central tendency, while staying cheap enough for every CI run.
 bench-smoke:
-	$(GO) test -run NONE -bench 'ScheduleFire$$|Calendar$$|RecycleVsRebuild|Trajectory/incremental$$' -benchtime=100x -count=3 -benchmem \
+	$(GO) test -run NONE -bench 'ScheduleFire$$|Calendar$$|RecycleVsRebuild|Trajectory/incremental$$|SpanWindow$$' -benchtime=100x -count=3 -benchmem \
 		./internal/des ./internal/san ./internal/model | $(GO) run ./cmd/ccbench -o BENCH_5.json
 
 # Performance-regression sentinel: run the smoke benchmarks, append a
@@ -49,7 +50,7 @@ bench-smoke:
 # gate on the last two entries (median + MAD noise band; -warn-only keeps
 # local runs informative rather than fatal — CI drops the flag).
 bench-trend:
-	$(GO) test -run NONE -bench 'ScheduleFire$$|Calendar$$|RecycleVsRebuild|Trajectory/incremental$$' -benchtime=100x -count=3 -benchmem \
+	$(GO) test -run NONE -bench 'ScheduleFire$$|Calendar$$|RecycleVsRebuild|Trajectory/incremental$$|SpanWindow$$' -benchtime=100x -count=3 -benchmem \
 		./internal/des ./internal/san ./internal/model | $(GO) run ./cmd/ccbench record -history BENCH_HISTORY.jsonl -o BENCH_5.json
 	$(GO) run ./cmd/ccbench trend -history BENCH_HISTORY.jsonl
 	$(GO) run ./cmd/ccbench compare -history BENCH_HISTORY.jsonl -warn-only

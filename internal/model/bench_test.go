@@ -73,3 +73,35 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("bare", func(b *testing.B) { run(b, false) })
 	b.Run("instrumented", func(b *testing.B) { run(b, true) })
 }
+
+// BenchmarkSpanWindow is one replication of the runner's span check: a
+// recycled error-propagation instance with a phase recorder folding the
+// paper's measurement window (1000 h warmup + 4000 h). allocs/op is the
+// recorder plus its losses slice; it does not grow with the ~30k spans a
+// replication closes (TestSpanWindowAllocsTrackLosses holds that).
+func BenchmarkSpanWindow(b *testing.B) {
+	const warmup, measure = 1000.0, 4000.0
+	in, err := New(catalog(b, "error-propagation"), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := in.RunSteadyState(warmup, measure); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events uint64
+	var spans int
+	for i := 0; i < b.N; i++ {
+		in.Recycle(uint64(i) + 1)
+		rec := in.AttachPhases()
+		rec.FoldWindow(warmup, warmup+measure)
+		if _, err := in.RunSteadyState(warmup, measure); err != nil {
+			b.Fatal(err)
+		}
+		spans += rec.Window(in.Now()).Spans
+		events += in.Fired()
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(spans)/float64(b.N), "spans/op")
+}

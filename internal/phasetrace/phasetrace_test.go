@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -283,4 +284,118 @@ func TestChromeExportSchema(t *testing.T) {
 			break
 		}
 	}
+}
+
+// foldMatchesTimeline feeds one trajectory to a storing recorder and, per
+// window, to a recorder folding that window from the start, and requires
+// the fold to equal Finish → SplitRework → BudgetBetween / UsefulFraction
+// / LostBetween / len(Spans) bit for bit.
+func foldMatchesTimeline(t *testing.T, feed func(*Recorder), end float64, windows [][2]float64) {
+	t.Helper()
+	stored := NewRecorder(Options{})
+	feed(stored)
+	split := stored.Finish(end).SplitRework()
+	for _, win := range windows {
+		t0, t1 := win[0], win[1]
+		folding := NewRecorder(Options{})
+		folding.FoldWindow(t0, t1)
+		feed(folding)
+		w := folding.Window(end)
+		if w.Budget != split.BudgetBetween(t0, t1) {
+			t.Errorf("[%v, %v]: fold budget %v, timeline %v", t0, t1, w.Budget, split.BudgetBetween(t0, t1))
+		}
+		if got, want := w.UsefulFraction(), split.UsefulFraction(t0, t1); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("[%v, %v]: fold useful fraction %v, timeline %v", t0, t1, got, want)
+		}
+		if w.Spans != len(split.Spans) {
+			t.Errorf("[%v, %v]: fold counted %d spans, timeline has %d", t0, t1, w.Spans, len(split.Spans))
+		}
+		var in []Loss
+		for _, l := range split.Losses {
+			if l.Time > t0 && l.Time <= t1 {
+				in = append(in, l)
+			}
+		}
+		if !slices.Equal(w.Losses, in) {
+			t.Errorf("[%v, %v]: fold losses %v, timeline %v", t0, t1, w.Losses, in)
+		}
+		if got, want := lost(w.Losses), split.LostBetween(t0, t1); got != want {
+			t.Errorf("[%v, %v]: fold lost %v, timeline %v", t0, t1, got, want)
+		}
+	}
+}
+
+// TestWindowFoldMatchesTimeline: a hand-fed Observe sequence with several
+// phase changes at one instant, a rollback at the instant a span closes
+// and a second one right after recovery, folded into windows whose edges
+// fall on loss times, inside rework and at the horizon.
+func TestWindowFoldMatchesTimeline(t *testing.T) {
+	up := State{Execution: true, SysUp: true}
+	feed := func(r *Recorder) {
+		r.Begin(0, up)
+		r.Observe(5, "start_quiesce", State{Quiescing: true, SysUp: true})
+		// Three phase changes at t = 6: the quiesce and dump spans
+		// opened there are zero-length and dropped.
+		r.Observe(6, "coordinate", State{Checkpointing: true, SysUp: true})
+		r.Observe(6, "dump_chkpt", up)
+		r.Observe(6, "write_chkpt", up)
+		r.Observe(9, "start_quiesce", State{Quiescing: true, SysUp: true})
+		// The rollback at 10 closes the quiesce span [9, 10] in the same
+		// Observe that records the loss.
+		r.Observe(10, "compute_failure", State{RecoveryStage1: true})
+		r.Observe(12, "recover_stage2", up)
+		r.Observe(15, "compute_failure", State{RecoveryStage1: true})
+		r.Observe(15, "recover_stage1", State{RecoveryStage2: true})
+		r.Observe(16, "recover_stage2", up)
+		r.Observe(25, "severe_failure", State{Rebooting: true})
+		r.Observe(27, "reboot_done", up)
+	}
+	stored := NewRecorder(Options{})
+	feed(stored)
+	tl := stored.Finish(40)
+	if len(tl.Losses) != 3 {
+		t.Fatalf("want 3 losses, got %+v", tl.Losses)
+	}
+	var rework bool
+	for _, sp := range tl.SplitRework().Spans {
+		rework = rework || sp.Phase == Rework
+	}
+	if !rework {
+		t.Fatal("trajectory has no rework to split")
+	}
+	foldMatchesTimeline(t, feed, 40, [][2]float64{
+		{0, 40}, {0, 100}, {10, 40}, {10, 15}, {15, 25}, {6, 6}, {13, 14.5},
+		{12.5, 18}, {16.5, 30}, {-5, 12}, {30, 20}, {27, 40}, {40, 50},
+	})
+}
+
+// TestFoldWindowAfterSpans: spans stored before FoldWindow are folded in,
+// so switching mid-trajectory gives the same window as folding from the
+// start.
+func TestFoldWindowAfterSpans(t *testing.T) {
+	events := testEvents()
+	stored, err := FromEvents(events, 40, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := stored.SplitRework()
+	r := NewRecorder(Options{})
+	r.Begin(0, State{Execution: true, SysUp: true})
+	for i, ev := range events {
+		if i == 5 {
+			r.FoldWindow(12, 35)
+		}
+		r.Observe(ev.Time, ev.Activity, StateFromMarking(ev.Marking))
+	}
+	w := r.Window(40)
+	if w.Budget != split.BudgetBetween(12, 35) || w.Spans != len(split.Spans) ||
+		w.UsefulFraction() != split.UsefulFraction(12, 35) {
+		t.Errorf("late fold %+v differs from the split timeline", w)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Finish on a folding recorder should panic")
+		}
+	}()
+	r.Finish(40)
 }
