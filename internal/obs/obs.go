@@ -14,8 +14,13 @@
 // without synchronization and folded into the registry once, when the
 // trajectory ends (Shard.Merge). This keeps the deterministic parallel
 // pool of internal/exec contention-free: replications never share a cache
-// line, and the merged totals are independent of worker count and
-// scheduling.
+// line. Shards merge in the order replications finish, which depends on
+// worker count and scheduling. The merged counters, histogram counts,
+// bucket counts, min and max do not (integer sums and extrema commute),
+// and neither do the quantiles derived from them. A histogram's Sum (and
+// Mean) can differ in the last bits, because float addition does not
+// associate. Whatever must be byte-identical across runs — the run
+// journal — records per-replication shard snapshots, not merged values.
 //
 // The package also provides the structured JSONL run journal
 // (journal.go) and the live debug HTTP server (debug.go).

@@ -3,12 +3,14 @@ package runner
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 )
 
 // TestEstimateWorkerInvariance is the contract of the parallel execution
@@ -137,5 +139,59 @@ func TestEstimateContextCancelled(t *testing.T) {
 	o.Workers = 2
 	if _, err := EstimateContext(ctx, cluster.Default(), o); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestMergedTelemetryWorkerInvariance holds the registry half of the
+// determinism contract as the obs package states it: totals merged from
+// per-replication shards keep their counters, histogram counts, bucket
+// counts, min and max for every worker count, and their histogram sums to
+// within rounding — shards merge in completion order, and float addition
+// does not associate. The cache telemetry recorded straight into the
+// registry (instance builds and recycles, event-pool hits and misses)
+// depends on how workers split the replications and is left out.
+func TestMergedTelemetryWorkerInvariance(t *testing.T) {
+	schedulingDependent := map[string]bool{
+		"runner.instance_builds": true, "runner.instance_recycles": true,
+		"des.pool_hits": true, "des.pool_misses": true,
+	}
+	snapshot := func(workers int) obs.Snapshot {
+		reg := obs.NewRegistry()
+		opts := quickOpts()
+		opts.Replications, opts.Workers, opts.Metrics, opts.VerifySpans = 6, workers, reg, true
+		alt := failing()
+		alt.CheckpointInterval = cluster.Minutes(60)
+		if _, err := Compare(failing(), alt, opts); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Snapshot()
+	}
+	want := snapshot(1)
+	if len(want.Histograms) == 0 || want.Counters["phase.rollbacks"] == 0 {
+		t.Fatalf("run recorded too little telemetry: %+v", want)
+	}
+	for _, workers := range []int{2, 3} {
+		got := snapshot(workers)
+		for name, n := range want.Counters {
+			if !schedulingDependent[name] && got.Counters[name] != n {
+				t.Errorf("workers %d: counter %s = %d, want %d", workers, name, got.Counters[name], n)
+			}
+		}
+		for name, w := range want.Histograms {
+			g, ok := got.Histograms[name]
+			switch {
+			case !ok:
+				t.Errorf("workers %d: histogram %s missing", workers, name)
+			case g.Count != w.Count || !reflect.DeepEqual(g.Counts, w.Counts) || g.Min != w.Min || g.Max != w.Max:
+				t.Errorf("workers %d: histogram %s = %+v, want %+v", workers, name, g, w)
+			case math.Abs(g.Sum-w.Sum) > 1e-12*math.Abs(w.Sum):
+				t.Errorf("workers %d: histogram %s sum %v, want %v within rounding", workers, name, g.Sum, w.Sum)
+			}
+		}
+		for name, w := range want.Timers {
+			if got.Timers[name].Count != w.Count {
+				t.Errorf("workers %d: timer %s count %d, want %d", workers, name, got.Timers[name].Count, w.Count)
+			}
+		}
 	}
 }
