@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -379,6 +380,39 @@ func TestWorkTelemetryAndStatus(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("status output missing %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// TestWorkSummaryMatchesTrailers: Work counts the events and observes the
+// wall time of each block it commits from the values it wrote into the
+// block's trailer, so Summary.Events is the sum of the committed trailers'
+// events and blocks.block_wall_s holds exactly their wall_ms.
+func TestWorkSummaryMatchesTrailers(t *testing.T) {
+	dir := t.TempDir()
+	m := testPlan(t, 2)
+	if err := CreateRun(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	sum, err := Work(context.Background(), dir, synthRun, WorkerOptions{Name: "w", Metrics: reg, Heartbeat: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events uint64
+	want := obs.NewRegistry().Timer("blocks.block_wall_s")
+	for _, b := range m.Blocks { // one worker commits blocks in plan order
+		_, tr, err := ReadBlockJournal(dir, m, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events += tr.Events
+		want.Observe(time.Duration(tr.WallMS * float64(time.Millisecond)))
+	}
+	if events == 0 || sum.Events != events {
+		t.Errorf("Summary.Events = %d, committed trailers hold %d", sum.Events, events)
+	}
+	if got := reg.Snapshot().Timers["blocks.block_wall_s"]; !reflect.DeepEqual(got, want.Snapshot()) {
+		t.Errorf("blocks.block_wall_s = %+v, trailers give %+v", got, want.Snapshot())
 	}
 }
 

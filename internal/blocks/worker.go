@@ -278,7 +278,8 @@ func Work(ctx context.Context, dir string, run RunFunc, o WorkerOptions) (s Summ
 			hb.note("claim", b.ID, "")
 			hb.setCurrent(b.ID)
 			hb.sync(s)
-			if err := executeBlock(ctx, dir, m, b, run, o); err != nil {
+			events, wallMS, err := executeBlock(ctx, dir, m, b, run, o)
+			if err != nil {
 				// Leave no lease behind: the failed block returns to the
 				// claimable pool immediately rather than after a TTL.
 				release(dir, b.ID)
@@ -289,12 +290,9 @@ func Work(ctx context.Context, dir string, run RunFunc, o WorkerOptions) (s Summ
 			hb.setCurrent(-1)
 			seenComplete[b.ID] = true
 			s.Completed++
-			tr, _, _ := trailerOf(dir, m, b)
-			if tr != nil {
-				s.Events += tr.Events
-				if mWall != nil {
-					mWall.Observe(time.Duration(tr.WallMS * float64(time.Millisecond)))
-				}
+			s.Events += events
+			if mWall != nil {
+				mWall.Observe(time.Duration(wallMS * float64(time.Millisecond)))
 			}
 			if mCompleted != nil {
 				mCompleted.Inc()
@@ -330,9 +328,9 @@ func claimedOnce(b *bool) bool {
 	return was
 }
 
-// executeBlock runs one claimed block under a renewal heartbeat and
-// commits its journal.
-func executeBlock(ctx context.Context, dir string, m *Manifest, b Block, run RunFunc, o WorkerOptions) error {
+// executeBlock runs one claimed block under a renewal heartbeat, commits
+// its journal and returns the events and wall time its trailer records.
+func executeBlock(ctx context.Context, dir string, m *Manifest, b Block, run RunFunc, o WorkerOptions) (events uint64, wallMS float64, err error) {
 	hbCtx, stopHB := context.WithCancel(ctx)
 	hbDone := make(chan struct{})
 	go func() {
@@ -355,13 +353,13 @@ func executeBlock(ctx context.Context, dir string, m *Manifest, b Block, run Run
 	start := time.Now()
 	out, err := run(ctx, m, b)
 	if err != nil {
-		return fmt.Errorf("blocks: block %d: %w", b.ID, err)
+		return 0, 0, fmt.Errorf("blocks: block %d: %w", b.ID, err)
 	}
-	wallMS := float64(time.Since(start)) / float64(time.Millisecond)
+	wallMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if err := writeBlockJournal(dir, m, b, out, o.Name, wallMS); err != nil {
-		return err
+		return 0, 0, err
 	}
-	return release(dir, b.ID)
+	return out.Events, wallMS, release(dir, b.ID)
 }
 
 // trailerOf fetches a block's trailer, reporting incompleteness distinctly.
