@@ -95,6 +95,8 @@ type Options struct {
 	// Result.SpanCheck, per-phase time budgets flow into Metrics
 	// (phase.hours.*) and the journal, and recording is purely
 	// observational: the trajectory is bit-identical with or without it.
+	// Spans are folded into the measurement window as they close, so a
+	// replication keeps only its rollback losses, never its timeline.
 	VerifySpans bool
 	// Provenance, when non-nil, is written as a leading "provenance"
 	// record before any replication record, answering "which binary and
