@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-smoke bench-trend cover ci validate-scenarios sweep-resume-smoke obs-smoke provenance-smoke vr-smoke e2ebench-check figures figures-check figures-paper report examples clean
+.PHONY: all build test vet race bench bench-smoke bench-record bench-trend cover ci validate-scenarios sweep-resume-smoke obs-smoke provenance-smoke vr-smoke e2ebench-check figures figures-check figures-paper report examples clean
 
 all: build vet test
 
@@ -31,27 +31,33 @@ bench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) test -run NONE -bench . -benchmem -count=5 ./internal/des ./internal/san ./internal/model ./internal/obs
 
-# Allocation-economy smoke: the des event-pool benchmark (the protocol
-# simulator's engine), the SAN executor's calendar at the base model's
-# depth, the instance-recycle benchmarks, the incremental base-model
-# trajectory (the san settle hot loop) and the span check's window fold on a
-# recycled error-propagation instance, archived as BENCH_5.json via
-# ccbench. -benchtime=1x was a measurement
-# theater — a single iteration times mostly setup and scheduler noise, so
-# the archived ns/op could swing 10x between identical commits; 100
-# iterations × 3 samples gives compare's median+MAD detector something with
-# an actual central tendency, while staying cheap enough for every CI run.
-bench-smoke:
-	$(GO) test -run NONE -bench 'ScheduleFire$$|Calendar$$|RecycleVsRebuild|Trajectory/incremental$$|SpanWindow$$' -benchtime=100x -count=3 -benchmem \
-		./internal/des ./internal/san ./internal/model | $(GO) run ./cmd/ccbench -o BENCH_5.json
+# The sentinel's benchmark set, declared once for bench-smoke, bench-record
+# and CI: the des event-pool benchmark (the protocol simulator's engine),
+# the SAN executor's calendar at the base model's depth, the
+# instance-recycle benchmarks, the incremental base-model trajectory (the
+# san settle hot loop) and the span check's window fold on a recycled
+# error-propagation instance. -benchtime=1x was a measurement theater — a
+# single iteration times mostly setup and scheduler noise, so the archived
+# ns/op could swing 10x between identical commits; 100 iterations × 3
+# samples gives compare's median+MAD detector something with an actual
+# central tendency, while staying cheap enough for every CI run.
+SENTINEL_BENCH = -run NONE -bench 'ScheduleFire$$|Calendar$$|RecycleVsRebuild|Trajectory/incremental$$|SpanWindow$$' \
+	-benchtime=100x -count=3 -benchmem ./internal/des ./internal/san ./internal/model
 
-# Performance-regression sentinel: run the smoke benchmarks, append a
-# provenance-stamped report to the local history, render the trend, and
-# gate on the last two entries (median + MAD noise band; -warn-only keeps
-# local runs informative rather than fatal — CI drops the flag).
-bench-trend:
-	$(GO) test -run NONE -bench 'ScheduleFire$$|Calendar$$|RecycleVsRebuild|Trajectory/incremental$$|SpanWindow$$' -benchtime=100x -count=3 -benchmem \
-		./internal/des ./internal/san ./internal/model | $(GO) run ./cmd/ccbench record -history BENCH_HISTORY.jsonl -o BENCH_5.json
+# Allocation-economy smoke: the sentinel set, archived as BENCH_5.json via
+# ccbench.
+bench-smoke:
+	$(GO) test $(SENTINEL_BENCH) | $(GO) run ./cmd/ccbench -o BENCH_5.json
+
+# Run the sentinel set and append a provenance-stamped report to the local
+# history (CI's bench-trend job records through this target).
+bench-record:
+	$(GO) test $(SENTINEL_BENCH) | $(GO) run ./cmd/ccbench record -history BENCH_HISTORY.jsonl -o BENCH_5.json
+
+# Performance-regression sentinel: record, render the trend, and gate on
+# the last two entries (median + MAD noise band; -warn-only keeps local
+# runs informative rather than fatal — CI drops the flag).
+bench-trend: bench-record
 	$(GO) run ./cmd/ccbench trend -history BENCH_HISTORY.jsonl
 	$(GO) run ./cmd/ccbench compare -history BENCH_HISTORY.jsonl -warn-only
 

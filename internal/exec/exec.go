@@ -148,16 +148,16 @@ func (p Pool) Run(ctx context.Context, jobs []Job) error {
 		workers = len(jobs)
 	}
 	if workers <= 1 {
-		r.worker(withWorker(ctx, 0), &counter{})
+		r.worker(ctx, &counter{})
 	} else {
 		var wg sync.WaitGroup
 		next := &counter{}
 		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
+		for range workers {
+			go func() {
 				defer wg.Done()
-				r.worker(withWorker(ctx, w), next)
-			}(w)
+				r.worker(ctx, next)
+			}()
 		}
 		wg.Wait()
 	}
@@ -178,25 +178,6 @@ func (p Pool) Run(ctx context.Context, jobs []Job) error {
 		return ctx.Err()
 	}
 	return nil
-}
-
-// workerKey carries the worker index through the job context.
-type workerKey struct{}
-
-// withWorker tags ctx with the index of the pool worker running on it.
-func withWorker(ctx context.Context, w int) context.Context {
-	return context.WithValue(ctx, workerKey{}, w)
-}
-
-// WorkerIndex returns the index (0-based, below the resolved worker count)
-// of the pool worker executing the current job. Jobs use it to address
-// worker-local state — notably MapLocal's per-worker slots. Outside a pool
-// job it returns 0, so code paths shared with direct calls keep working.
-func WorkerIndex(ctx context.Context) int {
-	if w, ok := ctx.Value(workerKey{}).(int); ok {
-		return w
-	}
-	return 0
 }
 
 // counter hands out job indices; shared across the run's workers.
@@ -327,38 +308,4 @@ func Map[T any](ctx context.Context, p Pool, n int, fn func(ctx context.Context,
 		return nil, err
 	}
 	return out, nil
-}
-
-// MapLocal is Map with worker-local state: mk builds one S per worker,
-// lazily, on the worker that first needs it, and every job that worker
-// claims receives the same S. It exists for expensive reusable resources —
-// the runner's per-worker model-instance cache is the motivating case — and
-// keeps the determinism contract exactly as Map does: state must never leak
-// into results (callers guarantee that a job computes the same value
-// whichever worker, and therefore whichever S, runs it; the runner pins
-// this with its worker-invariance tests).
-//
-// Each state slot is only ever touched by its own worker, so S needs no
-// locking.
-func MapLocal[S any, T any](ctx context.Context, p Pool, n int, mk func() S, fn func(ctx context.Context, state S, i int) (T, error)) ([]T, error) {
-	workers := p.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1 // n == 0: Run still owes observers a final snapshot
-	}
-	states := make([]S, workers)
-	made := make([]bool, workers)
-	return Map(ctx, p, n, func(ctx context.Context, i int) (T, error) {
-		w := WorkerIndex(ctx)
-		if !made[w] {
-			states[w] = mk()
-			made[w] = true
-		}
-		return fn(ctx, states[w], i)
-	})
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -36,7 +37,7 @@ func TestRecycleMatchesFreshBuild(t *testing.T) {
 	for name, cfg := range differentialConfigs() {
 		t.Run(name, func(t *testing.T) {
 			// One instance per variant, dirtied once and then recycled for
-			// every seed — exactly the runner's per-worker cache lifecycle.
+			// every seed — exactly the runner's instance-reuse lifecycle.
 			in, err := New(cfg, 999)
 			if err != nil {
 				t.Fatal(err)
@@ -106,8 +107,38 @@ func TestRecycleZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkRecycleVsRebuild measures what the runner's per-worker instance
-// cache buys: one replication via model.New per iteration versus one via
+// TestRareTrajectoryZeroAlloc extends the zero-allocation pin to Recycle's
+// other caller: a warm RareTrajectory primed, stepped to a branch point,
+// reseeded and stepped on — one splitting branch — must not allocate.
+func TestRareTrajectoryZeroAlloc(t *testing.T) {
+	tr, err := NewRareTrajectory(smallRareConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepTo := func(h float64) {
+		for tr.Now() < h && tr.Step() {
+		}
+	}
+	branch := func() {
+		tr.Prime(3)
+		stepTo(48)
+		tr.Reseed(11)
+		stepTo(96)
+	}
+	branch() // warm: size pool, queue, free list
+	// The first collection starts the runtime's mark-worker goroutines,
+	// which count as allocations; let it happen before measuring.
+	runtime.GC()
+	if avg := testing.AllocsPerRun(10, branch); avg != 0 {
+		t.Errorf("primed, reseeded trajectory allocates %.1f objects, want 0", avg)
+	}
+	if tr.Now() < 96 {
+		t.Fatalf("trajectory stopped at %v h, before the 96 h horizon", tr.Now())
+	}
+}
+
+// BenchmarkRecycleVsRebuild measures what the runner's instance reuse
+// buys: one replication via model.New per iteration versus one via
 // Recycle on a warm instance. Compare allocs/op as well as ns/op.
 func BenchmarkRecycleVsRebuild(b *testing.B) {
 	cfg := cluster.Default()

@@ -7,11 +7,13 @@ import (
 	"repro/internal/obs"
 )
 
-// TestEstimateRecyclesInstances pins that the per-worker instance cache is
+// TestEstimateRecyclesInstances pins that the block's instance free list is
 // actually in the estimate path: a sequential 4-replication run builds one
 // instance, recycles it three times, and serves the recycled replications
-// from the calendar's warm pool (no schedule raises its high-water mark). (That recycling cannot change results is
-// covered by the worker-invariance tests and the model's
+// from the calendar's warm pool (no schedule raises its high-water mark).
+// With several workers a block builds at most one instance per worker and
+// recycles for every other replication. (That recycling cannot change
+// results is covered by the worker-invariance tests and the model's
 // TestRecycleMatchesFreshBuild.)
 func TestEstimateRecyclesInstances(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -41,6 +43,22 @@ func TestEstimateRecyclesInstances(t *testing.T) {
 	}
 	if g, ok := snap.Gauges["des.pool_size"]; !ok || g <= 0 {
 		t.Errorf("des.pool_size gauge missing or zero: %d (present=%v)", g, ok)
+	}
+
+	reg = obs.NewRegistry()
+	opts.Replications = 9
+	opts.Workers = 3
+	opts.Metrics = reg
+	if _, err := Estimate(cluster.Default(), opts); err != nil {
+		t.Fatal(err)
+	}
+	snap = reg.Snapshot()
+	builds, recycles := snap.Counters["runner.instance_builds"], snap.Counters["runner.instance_recycles"]
+	if builds > 3 {
+		t.Errorf("built %d instances on 3 workers, want at most 3", builds)
+	}
+	if builds+recycles != 9 {
+		t.Errorf("builds %d + recycles %d != 9 replications", builds, recycles)
 	}
 }
 

@@ -151,32 +151,44 @@ type repOut struct {
 	draws []uint64
 }
 
-// runOne simulates one trajectory on an instance from the worker's cache
-// (built on first use, recycled after). When telemetry is requested it
-// attaches a fresh obs.Shard to the instance (one shard per replication,
-// owned by whichever pool worker runs it), flushes the engine counters at
-// the end, snapshots the shard for the journal and merges it into the
-// registry. Journal-only runs (Journal set, Metrics nil) instrument into a
-// throwaway registry so the snapshot exists without polluting anyone's
-// metrics.
+// runOne simulates one trajectory on in, recycled onto seed, or on a fresh
+// instance when in is nil, and returns the instance it ran on for the
+// caller to reuse (nil only when the build failed). When telemetry is
+// requested it attaches a fresh obs.Shard to the instance (one shard per
+// replication, owned by whichever pool worker runs it), flushes the engine
+// counters at the end, snapshots the shard for the journal and merges it
+// into the registry. Journal-only runs (Journal set, Metrics nil)
+// instrument into a throwaway registry so the snapshot exists without
+// polluting anyone's metrics.
 //
-// Cache telemetry (instance builds/recycles, event-pool hits/misses) goes
+// Reuse telemetry (instance builds/recycles, event-pool hits/misses) goes
 // to the registry only, never into the shard: the shard snapshot lands in
 // the journal, whose bytes are pinned identical across worker counts, and
 // whether an instance was fresh or recycled depends on how many workers
 // split the replications.
-func runOne(cfg cluster.Config, seed uint64, reflected bool, opts Options, cache *instanceCache) (repOut, error) {
+func runOne(in *model.Instance, cfg cluster.Config, seed uint64, reflected bool, opts Options) (*model.Instance, repOut, error) {
 	start := time.Now()
 	// Per-purpose sub-streams are on for the CRN audit and for antithetic
 	// pairs (both legs): with one interleaved stream the legs desynchronize
 	// at the first divergence and reflection stops pairing matching draws;
 	// purpose-split streams keep the k-th failure draw of the reflected leg
 	// the exact mirror of the plain leg's k-th, which is what makes the
-	// antithetic correlation strong.
+	// antithetic correlation strong. Both flags act through SetVR, which
+	// takes effect on the next Recycle — so a fresh build under either is
+	// recycled onto its own seed at once, and a reused instance clears
+	// them for a plain replication (a pinned no-op for the trajectory:
+	// model's TestSetVROffIsBitTransparent).
 	crn := opts.SyncReport || opts.VarianceReduction == vr.ModeAntithetic
-	in, recycled, err := cache.instance(cfg, seed, reflected, crn)
-	if err != nil {
-		return repOut{}, err
+	recycled := in != nil
+	if !recycled {
+		var err error
+		if in, err = model.New(cfg, seed); err != nil {
+			return nil, repOut{}, err
+		}
+	}
+	if recycled || reflected || crn {
+		in.SetVR(reflected, crn)
+		in.Recycle(seed)
 	}
 	var sh *obs.Shard
 	if opts.Metrics != nil || opts.Journal != nil || opts.forceSim {
@@ -239,5 +251,5 @@ func runOne(cfg cluster.Config, seed uint64, reflected bool, opts Options, cache
 		reg.Counter("des.pool_misses").Add(misses)
 		reg.Gauge("des.pool_size").Set(int64(size))
 	}
-	return out, err
+	return in, out, err
 }

@@ -147,7 +147,7 @@ func TestEstimateContextCancelled(t *testing.T) {
 // per-replication shards keep their counters, histogram counts, bucket
 // counts, min and max for every worker count, and their histogram sums to
 // within rounding — shards merge in completion order, and float addition
-// does not associate. The cache telemetry recorded straight into the
+// does not associate. The reuse telemetry recorded straight into the
 // registry (instance builds and recycles, event-pool hits and misses)
 // depends on how workers split the replications and is left out.
 func TestMergedTelemetryWorkerInvariance(t *testing.T) {

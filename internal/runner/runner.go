@@ -296,24 +296,38 @@ func estimateBlock(ctx context.Context, cfg cluster.Config, b blocks.Block, opts
 // runBlock runs one planned block's replications on the exec pool and
 // returns their outputs in replication order. It is the one replication
 // loop: estimateBlock runs each whole planned block through it and
-// BlockRunner each claimed block. Each worker carries one instance cache —
-// the model is built on the worker's first replication and recycled for
-// the rest (zero-allocation hot loop; see internal/runner/cache.go for why
-// this cannot affect results).
+// BlockRunner each claimed block. A block has one configuration, so its
+// model instances are interchangeable: a job takes one from the block's
+// free list, or builds one if none is free, and puts it back when its
+// replication ends. At most one instance per pool worker is ever out, so
+// the put never blocks. The list is a channel, not a sync.Pool, which a GC
+// could drain. Which instance runs a replication cannot affect results:
+// Recycle is pinned bit-identical to a fresh build (model's
+// TestRecycleMatchesFreshBuild), and the worker-invariance tests cover the
+// rest.
 func runBlock(ctx context.Context, cfg cluster.Config, b blocks.Block, opts Options) ([]repOut, error) {
 	antithetic := opts.VarianceReduction == vr.ModeAntithetic
 	var events atomic.Uint64
-	return exec.MapLocal(ctx, pool(opts, &events), b.Reps(), newInstanceCache,
-		func(_ context.Context, cache *instanceCache, i int) (repOut, error) {
-			// Under antithetic VR the plan duplicated each seed across a
-			// (plain, reflected) pair aligned to even cell-global indices;
-			// the leg is the global replication parity, fixed — like the
-			// seed — before dispatch, so it is invisible to worker
-			// scheduling and to where a block boundary fell.
-			o, err := runOne(cfg, b.Seeds[i], antithetic && (b.RepStart+i)%2 == 1, opts, cache)
-			events.Add(o.fired)
-			return o, err
-		})
+	p := pool(opts, &events)
+	free := make(chan *model.Instance, p.Workers)
+	return exec.Map(ctx, p, b.Reps(), func(_ context.Context, i int) (repOut, error) {
+		var in *model.Instance
+		select {
+		case in = <-free:
+		default:
+		}
+		// Under antithetic VR the plan duplicated each seed across a
+		// (plain, reflected) pair aligned to even cell-global indices; the
+		// leg is the global replication parity, fixed — like the seed —
+		// before dispatch, so it is invisible to worker scheduling and to
+		// where a block boundary fell.
+		in, o, err := runOne(in, cfg, b.Seeds[i], antithetic && (b.RepStart+i)%2 == 1, opts)
+		if in != nil {
+			free <- in
+		}
+		events.Add(o.fired)
+		return o, err
+	})
 }
 
 // recordEstimate publishes estimate-level telemetry.
@@ -336,7 +350,8 @@ func recordEstimate(opts Options, outs []repOut, res Result, elapsed time.Durati
 		reg.FloatGauge("runner.ci_half_width").Set(hw)
 	}
 	// GC pressure of the estimate just completed — with the pooled engine
-	// and recycled instances the heap numbers stay flat across estimates.
+	// and instances recycled within each block the heap numbers stay flat
+	// across estimates.
 	obs.RecordMemStats(reg)
 }
 

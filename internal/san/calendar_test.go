@@ -152,11 +152,14 @@ func TestInfiniteFiringRateIntegrals(t *testing.T) {
 }
 
 // TestCalendarMatchesEngine drives random schedule, cancel, fire and reset
-// sequences through the calendar and through des.Engine, the pooled heap
-// the executor used to run on, and requires the same pop order, clock,
-// counters and pool numbers after every operation. The delays repeat
-// often enough to force ties, and +Inf delays drive the clock to +Inf,
-// where every later firing ties.
+// sequences through the calendar, through des.Engine, the pooled heap the
+// executor used to run on, and through a brute-force reference: a plain
+// slice of pending firings, scanned in full for the lowest (due, seq) at
+// every fire. The calendar must match the engine's pop order, clock,
+// counters and pool numbers after every operation, and the reference's
+// pop order, clock and pending count. The delays repeat often enough to
+// force ties, and +Inf delays drive the clock to +Inf, where every later
+// firing ties.
 func TestCalendarMatchesEngine(t *testing.T) {
 	const slots = 8
 	delays := []float64{0, 0.5, 1, 1, 2, math.Inf(1)}
@@ -172,6 +175,15 @@ func TestCalendarMatchesEngine(t *testing.T) {
 			i := i
 			handlers[i] = func(*des.Engine) { popped = i }
 		}
+		type firing struct {
+			slot int
+			due  float64
+			seq  uint64
+		}
+		var ref []firing
+		var refNow float64
+		var refSeq uint64
+		refRemove := func(k int) { ref = append(ref[:k], ref[k+1:]...) }
 		for op := 0; op < 3000; op++ {
 			var what string
 			switch u := pick(100); {
@@ -184,11 +196,19 @@ func TestCalendarMatchesEngine(t *testing.T) {
 				what = fmt.Sprintf("schedule %d after %v", i, d)
 				cal.schedule(i, cal.now+d)
 				handles[i] = eng.ScheduleAfter(d, "slot", handlers[i])
+				ref = append(ref, firing{i, refNow + d, refSeq})
+				refSeq++
 			case u < 65:
 				i := pick(slots)
 				what = fmt.Sprintf("cancel %d", i)
 				cal.cancel(i)
 				eng.Cancel(handles[i])
+				for k, f := range ref {
+					if f.slot == i {
+						refRemove(k)
+						break
+					}
+				}
 			case u < 98:
 				what = "fire"
 				popped = -1
@@ -199,10 +219,25 @@ func TestCalendarMatchesEngine(t *testing.T) {
 				if ok := eng.Step(); ok != (i >= 0) || popped != i {
 					t.Fatalf("seed %d op %d: calendar fired slot %d, engine %d (stepped %v)", seed, op, i, popped, ok)
 				}
+				best := -1
+				for k, f := range ref {
+					if best < 0 || f.due < ref[best].due || f.due == ref[best].due && f.seq < ref[best].seq {
+						best = k
+					}
+				}
+				want := -1
+				if best >= 0 {
+					want, refNow = ref[best].slot, ref[best].due
+					refRemove(best)
+				}
+				if i != want {
+					t.Fatalf("seed %d op %d: calendar fired slot %d, reference scan %d", seed, op, i, want)
+				}
 			default:
 				what = "reset"
 				cal.reset()
 				eng.Reset()
+				ref, refNow = ref[:0], 0
 			}
 			hits, misses, size := cal.poolStats()
 			got := []any{cal.now, cal.pending(), cal.fired, cal.scheduled, cal.cancelled, hits, misses, size}
@@ -211,6 +246,10 @@ func TestCalendarMatchesEngine(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d op %d (%s): calendar now/pending/fired/scheduled/cancelled/hits/misses/size %v, engine %v",
 					seed, op, what, got, want)
+			}
+			if cal.now != refNow || cal.pending() != len(ref) {
+				t.Fatalf("seed %d op %d (%s): calendar now/pending %v/%d, reference %v/%d",
+					seed, op, what, cal.now, cal.pending(), refNow, len(ref))
 			}
 		}
 	}
