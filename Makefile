@@ -2,15 +2,17 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-smoke bench-record bench-trend cover ci validate-scenarios sweep-resume-smoke obs-smoke provenance-smoke vr-smoke e2ebench-check figures figures-check figures-paper report examples clean
+.PHONY: all build test vet race bench bench-smoke bench-record bench-trend cover ci validate-scenarios sweep-resume-smoke obs-smoke provenance-smoke vr-smoke e2ebench-check figures figures-check figures-paper examples clean
 
 all: build vet test
 
 build:
 	$(GO) build ./...
 
+# Vet plus formatting: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test: vet
 	$(GO) test ./...
@@ -144,26 +146,28 @@ e2ebench-check:
 # benchmark-module gate.
 ci: all examples race cover validate-scenarios sweep-resume-smoke figures-check obs-smoke provenance-smoke vr-smoke e2ebench-check
 
-# Regenerate every paper figure (quick scale) into results/.
+# Regenerate every paper figure (quick scale, seed 1) into results/ and,
+# in the same pass, the claim table heading REPORT.md (the hand-written
+# sections after its "claims pass." line are kept as they are). Fails if
+# any claim fails.
 figures:
-	$(GO) run ./cmd/ccfigures -extras -out results/
+	$(GO) run ./cmd/ccfigures -extras -out results/ -report REPORT.md
 
-# Figure gate: regenerate the quick-scale figures into a temp dir and
-# require them byte-identical to the committed results/ (the figures are
-# seeded and worker-count invariant, so any diff is a real change that
-# needs `make figures`).
+# Figure gate: regenerate the quick-scale figures and the claim table into
+# a temp dir (the table into a copy of REPORT.md) and require both
+# byte-identical to the committed results/ and REPORT.md, with every claim
+# passing (the figures are seeded and worker-count invariant, so any diff
+# is a real change that needs `make figures`).
 figures-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-		$(GO) run ./cmd/ccfigures -extras -out "$$tmp" && \
-		diff -r results "$$tmp" && echo "figures-check: results/ is up to date"
+		cp REPORT.md "$$tmp/REPORT.md" && \
+		$(GO) run ./cmd/ccfigures -extras -out "$$tmp/results" -report "$$tmp/REPORT.md" && \
+		diff -r results "$$tmp/results" && diff REPORT.md "$$tmp/REPORT.md" && \
+		echo "figures-check: results/ and REPORT.md are up to date; every claim passes"
 
 # Paper-scale windows (5 reps × 1000h warmup × 4000h measured) — slow.
 figures-paper:
 	$(GO) run ./cmd/ccfigures -paper -extras -out results-paper/
-
-# Self-verifying claim report.
-report:
-	$(GO) run ./cmd/ccreport -o REPORT.md
 
 # Run every example once: they drive the public API end to end (capacity
 # through OptimalProcessors, jobplanner through Sensitivity and Compare).

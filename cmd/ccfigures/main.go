@@ -6,9 +6,17 @@
 //	ccfigures -only fig4a,fig8      # a subset
 //	ccfigures -paper                # paper-scale windows (slow)
 //	ccfigures -csv -out results/    # CSV files, one per figure
+//
+// With -report it also checks every figure against its qualitative claims
+// and writes the verdicts as the claim table heading a markdown file —
+// the reproduction grading itself — and fails if any claim fails:
+//
+//	ccfigures -extras -out results/ -report REPORT.md
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -48,6 +56,7 @@ func run(args []string) error {
 		seed          = fs.Uint64("seed", 1, "root random seed")
 		workers       = fs.Int("workers", runtime.NumCPU(), "concurrent figure cells (1 = sequential; results are identical for any value)")
 		metrics       = fs.Bool("metrics", false, "print the collected telemetry table to stderr when done")
+		report        = fs.String("report", "", "check each figure's claims and write the claim table into this markdown file, replacing its head up to the 'claims pass.' line; fails if any claim fails")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -113,6 +122,16 @@ func run(args []string) error {
 		}
 	}
 
+	var (
+		reportTail []byte
+		claims     []experiments.ClaimResult
+	)
+	if *report != "" {
+		// Refuse an unfit report file before simulating anything.
+		if reportTail, err = readReportTail(*report); err != nil {
+			return err
+		}
+	}
 	for _, def := range defs {
 		start := time.Now()
 		fig, err := def.Run(opts)
@@ -123,13 +142,71 @@ func run(args []string) error {
 		if err := emit(fig, def, *csv, *chart, *out); err != nil {
 			return err
 		}
+		claims = append(claims, experiments.CheckClaims(fig)...)
 	}
 	if *metrics {
 		fmt.Fprintln(os.Stderr, "telemetry")
 		reg.WriteTable(os.Stderr)
 	}
+	if *report != "" {
+		return writeReport(*report, reportTail, opts, claims)
+	}
 	return nil
 }
+
+// reportEnd ends the line that closes the generated head of a report.
+const reportEnd = "claims pass."
+
+// readReportTail returns what follows the generated head of the markdown
+// report at path — everything after the line holding reportEnd — to be
+// kept byte for byte. A missing file has no tail; a file without that
+// line is refused, so it is never truncated.
+func readReportTail(path string) ([]byte, error) {
+	old, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	i := bytes.Index(old, []byte(reportEnd))
+	if i < 0 {
+		return nil, fmt.Errorf("-report %s: no %q line ends a generated head; refusing to overwrite the file", path, reportEnd)
+	}
+	_, tail, _ := bytes.Cut(old[i:], []byte("\n"))
+	return tail, nil
+}
+
+// writeReport writes the claim table, then tail, to path, and reports an
+// error afterwards if any claim failed.
+func writeReport(path string, tail []byte, opts repro.Options, claims []experiments.ClaimResult) error {
+	var b bytes.Buffer
+	fmt.Fprintln(&b, "# Reproduction report — Modeling Coordinated Checkpointing for Large-Scale Supercomputers (DSN 2005)")
+	fmt.Fprintf(&b, "\nGenerated by `ccfigures -report`: %d replications × (%g h transient + %g h measured) per cell, seed %d.\n",
+		opts.Replications, opts.Warmup, opts.Measure, opts.Seed)
+	fmt.Fprintln(&b, "\n| Experiment | Claim | Verdict | Detail |")
+	fmt.Fprintln(&b, "|---|---|---|---|")
+	passed := 0
+	for _, c := range claims {
+		verdict := "FAIL"
+		if c.Pass {
+			verdict, passed = "PASS", passed+1
+		}
+		fmt.Fprintf(&b, "| %s | %s | %s | %s |\n", c.Figure, escape(c.Claim), verdict, escape(c.Detail))
+	}
+	fmt.Fprintf(&b, "\n**%d/%d %s**\n", passed, len(claims), reportEnd)
+	b.Write(tail)
+	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+		return err
+	}
+	if passed < len(claims) {
+		return fmt.Errorf("%d of %d claims failed", len(claims)-passed, len(claims))
+	}
+	return nil
+}
+
+// escape keeps markdown table cells intact.
+func escape(s string) string { return strings.ReplaceAll(s, "|", "\\|") }
 
 func emit(fig *repro.Figure, def experiments.Def, csv, chart bool, outDir string) error {
 	w := os.Stdout

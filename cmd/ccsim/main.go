@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/provenance"
@@ -63,19 +64,8 @@ func run(args []string, stdout io.Writer) error {
 		compareRef    = fs.String("compare", "", "compare against this configuration file or scenario name (side B) with common random numbers; -config/-scenario is side A and explicitly set configuration flags apply to both")
 		syncReport    = fs.Bool("sync-report", false, "audit the common-random-numbers pairing of -compare: per-purpose draw alignment and residual output correlation")
 	)
-	// Configuration flags, applied by name through the parameter
-	// vocabulary (cluster.SetParam).
-	fs.Int("procs", 65536, "total compute processors")
-	fs.Int("procs-per-node", 8, "processors per node")
-	fs.Float64("mttf-years", 1, "per-node MTTF in years")
-	fs.Float64("mttr-min", 10, "system MTTR in minutes")
-	fs.Float64("interval-min", 30, "checkpoint interval in minutes")
-	fs.Float64("mttq-sec", 10, "per-node mean time to quiesce in seconds")
-	fs.Float64("timeout-sec", 0, "coordination timeout in seconds (0 = none)")
-	fs.String("coordination", "fixed", "coordination mode: fixed, none, max-of-n")
-	fs.Float64("pe", 0, "probability of correlated failure (error propagation)")
-	fs.Float64("r", 0, "correlated failure rate factor")
-	fs.Float64("alpha", 0, "generic correlated failure coefficient")
+	cluster.DeclareFlags(fs, "procs", "procs-per-node", "mttf-years", "mttr-min", "interval-min",
+		"mttq-sec", "timeout-sec", "coordination", "pe", "r", "alpha")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -104,6 +94,7 @@ func run(args []string, stdout io.Writer) error {
 	// it writes no replication journal, pairs no legs and records no phase
 	// spans. A comparison runs two plain steady-state estimates on common
 	// random numbers, and only a comparison has a pairing to audit.
+	// Periodic profiles need a directory to land in.
 	changed := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { changed[f.Name] = f.Value.String() != f.DefValue })
 	for _, m := range []struct {
@@ -114,6 +105,7 @@ func run(args []string, stdout io.Writer) error {
 		{*rareLevel > 0, "-rare-level", []string{"journal", "vr", "verify-spans"}},
 		{compare, "-compare", []string{"rare-level", "rare-effort", "rare-horizon", "rare-brute", "vr"}},
 		{!compare, "a single estimate (use -compare)", []string{"sync-report"}},
+		{*profileDir == "", "a run without -profile-dir", []string{"profile-every"}},
 	} {
 		for _, name := range m.excludes {
 			if m.on && changed[name] {
@@ -182,9 +174,8 @@ func run(args []string, stdout io.Writer) error {
 		opts.Journal = repro.NewRunJournal(f)
 		opts.Provenance = &stamp
 	}
-	var profiler *obs.ProfileCapture
 	if *profileDir != "" {
-		profiler = obs.NewProfileCapture(obs.ProfileCaptureOptions{
+		profiler := obs.NewProfileCapture(obs.ProfileCaptureOptions{
 			Dir:    *profileDir,
 			Prefix: "ccsim",
 			Meta:   stamp,
@@ -193,23 +184,7 @@ func run(args []string, stdout io.Writer) error {
 			},
 		})
 		profiler.Trigger("start")
-		if *profileEvery > 0 {
-			tick := time.NewTicker(*profileEvery)
-			defer tick.Stop()
-			done := make(chan struct{})
-			defer close(done)
-			go func() {
-				for {
-					select {
-					case <-tick.C:
-						profiler.Trigger("periodic")
-					case <-done:
-						return
-					}
-				}
-			}()
-		}
-		defer profiler.Wait()
+		defer profiler.Every(*profileEvery)()
 	}
 	var (
 		res  repro.Result

@@ -202,6 +202,16 @@ func TestRunProfileDir(t *testing.T) {
 	}
 }
 
+// Periodic captures need somewhere to land: -profile-every without
+// -profile-dir is an error, not silently ignored.
+func TestRunProfileEveryNeedsProfileDir(t *testing.T) {
+	err := run([]string{"-reps", "1", "-warmup", "10", "-measure", "50", "-procs", "8192",
+		"-profile-every", "1s"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-profile-every") || !strings.Contains(err.Error(), "-profile-dir") {
+		t.Fatalf("-profile-every without -profile-dir: %v", err)
+	}
+}
+
 func TestRunJournalUnwritablePath(t *testing.T) {
 	if err := run([]string{
 		"-reps", "1", "-warmup", "10", "-measure", "50", "-procs", "8192",

@@ -104,15 +104,24 @@ func run(args []string, stdout io.Writer) error {
 		profileDir   = fs.String("profile-dir", "", "with -worker: where profile captures land (default <run>/profiles; 'off' disables)")
 		profileEvery = fs.Duration("profile-every", 0, "with -worker: also capture profiles at this interval (0 = straggler auto-trigger only)")
 	)
-	// Base configuration flags, applied by name through the parameter
-	// vocabulary (cluster.SetParam).
-	fs.Int("procs", 65536, "total compute processors")
-	fs.Float64("mttf-years", 1, "per-node MTTF in years")
-	fs.Float64("mttr-min", 10, "system MTTR in minutes")
-	fs.Float64("interval-min", 30, "checkpoint interval in minutes")
-	fs.String("coordination", "fixed", "coordination mode: fixed, none, max-of-n")
+	cluster.DeclareFlags(fs, "procs", "mttf-years", "mttr-min", "interval-min", "coordination")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// A run-directory flag set without the verb it configures (listed
+	// first) is an error, not silently ignored.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, v := range [][]string{
+		{"status", "json"},
+		{"manifest", "block-size"},
+		{"worker", "worker-name", "lease-ttl", "heartbeat-every", "profile-dir", "profile-every"},
+	} {
+		for _, name := range v[1:] {
+			if set[name] && !set[v[0]] {
+				return fmt.Errorf("-%s needs -%s", name, v[0])
+			}
+		}
 	}
 	catalog, err := scenario.Resolve(*scenarioDir)
 	if err != nil {
@@ -325,8 +334,8 @@ func workCmd(dir string, stdout io.Writer, workers int, name string, ttl, hbEver
 	log := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "ccsweep: worker: "+format+"\n", args...)
 	}
-	profiler, stopPeriodic := blocks.NewWorkerProfiler(dir, name, profileDir, profileEvery, log)
-	defer stopPeriodic()
+	profiler := blocks.NewWorkerProfiler(dir, name, profileDir, log)
+	defer profiler.Every(profileEvery)()
 	sum, err := blocks.Work(context.Background(), dir, runner.BlockRunner(workers, reg), blocks.WorkerOptions{
 		Name:      name,
 		LeaseTTL:  ttl,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -89,6 +90,28 @@ func TestSweepRejectsInvalidConfigValue(t *testing.T) {
 func TestSweepRejectsBadMode(t *testing.T) {
 	if err := run(quickArgs("-coordination", "nope", "-values", "1"), os.Stdout); err == nil {
 		t.Fatal("bad coordination mode accepted")
+	}
+}
+
+// A run-directory flag without the verb it configures is an error, not
+// silently ignored by an otherwise valid sweep.
+func TestSweepRejectsVerbFlagsWithoutVerb(t *testing.T) {
+	for _, tc := range []struct {
+		flags []string
+		verb  string
+	}{
+		{[]string{"-json"}, "-status"},
+		{[]string{"-block-size", "2"}, "-manifest"},
+		{[]string{"-worker-name", "w1"}, "-worker"},
+		{[]string{"-lease-ttl", "1m"}, "-worker"},
+		{[]string{"-heartbeat-every", "-1s"}, "-worker"},
+		{[]string{"-profile-dir", "off"}, "-worker"},
+		{[]string{"-profile-every", "1s"}, "-worker"},
+	} {
+		err := run(quickArgs(append([]string{"-param", "procs", "-values", "8192"}, tc.flags...)...), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.flags[0]) || !strings.Contains(err.Error(), tc.verb) {
+			t.Errorf("%v without %s: %v", tc.flags, tc.verb, err)
+		}
 	}
 }
 

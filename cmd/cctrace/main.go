@@ -18,6 +18,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/phasetrace"
 	"repro/internal/scenario"
@@ -43,10 +44,7 @@ func run(args []string, stdout *os.File) error {
 		chrome   = fs.String("chrome", "", "with -spans: write the timeline as Chrome trace-event JSON to this file (open in ui.perfetto.dev)")
 		fullscan = fs.Bool("fullscan", false, "use the full-rescan scheduler instead of the incremental one (debugging; traces are bit-identical)")
 	)
-	// Configuration flags, applied by name through the parameter
-	// vocabulary (cluster.SetParam).
-	fs.Int("procs", 65536, "total compute processors")
-	fs.Float64("mttf-years", 1, "per-node MTTF in years")
+	cluster.DeclareFlags(fs, "procs", "mttf-years")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

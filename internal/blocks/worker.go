@@ -111,16 +111,14 @@ type Summary struct {
 // WorkerOptions.Profiler. It is on by default — the straggler auto-trigger
 // inside the heartbeat writer costs nothing until it fires, and a profile
 // that explains a slow worker is exactly the artifact you cannot capture
-// after the fact — and disabled by profileDir "off". Captures land in
-// ProfileDir(runDir) unless profileDir overrides, named after the worker
-// (same default identity as WorkerOptions.Name) and stamped with the
-// process's provenance. A positive `every` adds periodic captures on top
-// of the auto-trigger. The returned stop func halts the ticker and waits
-// out any in-flight capture; call it before process exit so the last
-// capture is not torn.
-func NewWorkerProfiler(runDir, name, profileDir string, every time.Duration, log func(string, ...any)) (*obs.ProfileCapture, func()) {
+// after the fact — and disabled (nil) by profileDir "off". Captures land
+// in ProfileDir(runDir) unless profileDir overrides, named after the
+// worker (same default identity as WorkerOptions.Name) and stamped with
+// the process's provenance. Its Every method adds periodic captures on
+// top of the auto-trigger.
+func NewWorkerProfiler(runDir, name, profileDir string, log func(string, ...any)) *obs.ProfileCapture {
 	if profileDir == "off" {
-		return nil, func() {}
+		return nil
 	}
 	if profileDir == "" {
 		profileDir = ProfileDir(runDir)
@@ -128,35 +126,12 @@ func NewWorkerProfiler(runDir, name, profileDir string, every time.Duration, log
 	if name == "" {
 		name = WorkerOptions{}.withDefaults().Name
 	}
-	stamp := provenance.Collect()
-	profiler := obs.NewProfileCapture(obs.ProfileCaptureOptions{
+	return obs.NewProfileCapture(obs.ProfileCaptureOptions{
 		Dir:    profileDir,
 		Prefix: name,
-		Meta:   stamp,
+		Meta:   provenance.Collect(),
 		Log:    log,
 	})
-	done := make(chan struct{})
-	var tick *time.Ticker
-	if every > 0 {
-		tick = time.NewTicker(every)
-		go func() {
-			for {
-				select {
-				case <-tick.C:
-					profiler.Trigger("periodic")
-				case <-done:
-					return
-				}
-			}
-		}()
-	}
-	return profiler, func() {
-		if tick != nil {
-			tick.Stop()
-		}
-		close(done)
-		profiler.Wait()
-	}
 }
 
 // Work claims and executes blocks from the run directory until every block

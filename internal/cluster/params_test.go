@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"flag"
 	"strings"
 	"testing"
 )
@@ -88,4 +89,43 @@ func TestSetParamRejects(t *testing.T) {
 			t.Errorf("%s=%s changed the config on error", bad[0], bad[1])
 		}
 	}
+}
+
+// TestDeclareFlagsRendersDefaults declares every vocabulary entry as a
+// flag and applies each rendered default back through SetParam: the
+// result is exactly Default(), so a flag's default can never drift from
+// the configuration it describes.
+func TestDeclareFlagsRendersDefaults(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	DeclareFlags(fs, ParamNames()...)
+	c := Default()
+	c.Processors = 1 // the procs and nodes defaults must restore it
+	n := 0
+	fs.VisitAll(func(f *flag.Flag) {
+		n++
+		if err := SetParam(&c, f.Name, f.DefValue); err != nil {
+			t.Errorf("-%s default %q: %v", f.Name, f.DefValue, err)
+		}
+		if f.Usage == "" {
+			t.Errorf("-%s has no help text", f.Name)
+		}
+	})
+	if n != len(ParamNames()) {
+		t.Errorf("declared %d flags, vocabulary has %d", n, len(ParamNames()))
+	}
+	if c != Default() {
+		t.Errorf("defaults applied = %+v, want Default() %+v", c, Default())
+	}
+	for name, want := range map[string]string{"procs": "65536", "mttr-min": "10", "interval-min": "30",
+		"mttq-sec": "10", "coordination": "fixed", "blocking-write": "false"} {
+		if got := fs.Lookup(name).DefValue; got != want {
+			t.Errorf("-%s default %q, want %q", name, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("unknown name declared without a panic")
+		}
+	}()
+	DeclareFlags(fs, "bogus")
 }

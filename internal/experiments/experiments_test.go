@@ -224,7 +224,7 @@ func TestArgMax(t *testing.T) {
 // TestEveryExperimentRunsAtTinyScale smoke-tests every registered
 // experiment (paper figures and extras): each must produce non-empty,
 // finite series with the expected structure. Shape fidelity at real scale
-// is covered by the benchmarks, cmd/ccreport and the stored results.
+// is covered by the benchmarks, ccfigures -report and the stored results.
 func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full registry")

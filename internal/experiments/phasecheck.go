@@ -23,8 +23,8 @@ func phaseCheckVariants() []variant {
 // experiment: for each model variant it estimates useful work twice from
 // the same trajectories — the reward integral and the phase-span timeline —
 // and reports both as paired series. The claim checker then asserts the
-// pairs agree within CI half-width, which is the issue's acceptance
-// criterion and what ccreport records in REPORT.md.
+// pairs agree within CI half-width; ccfigures -report records that
+// verdict in REPORT.md.
 func phaseCheck(opts runner.Options) ([]Series, error) {
 	reward := Series{Name: "reward accounting"}
 	spans := Series{Name: "span accounting"}

@@ -10,7 +10,6 @@ import (
 func (in *Instance) phaseState(m *san.Marking) phasetrace.State {
 	pl := in.pl
 	return phasetrace.State{
-		Execution:      m.Get(pl.execution) > 0,
 		Quiescing:      m.Get(pl.quiescing) > 0,
 		Checkpointing:  m.Get(pl.checkpointing) > 0,
 		FSWait:         m.Get(pl.fsWait) > 0,

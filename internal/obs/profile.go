@@ -147,6 +147,35 @@ func (p *ProfileCapture) Wait() {
 	p.wg.Wait()
 }
 
+// Every triggers a "periodic" capture at each tick of interval (none when
+// interval ≤ 0) until the returned stop func is called, once. Stop halts
+// the ticker and its goroutine, then waits out any in-flight capture, so
+// call it before process exit. Nil-safe.
+func (p *ProfileCapture) Every(interval time.Duration) (stop func()) {
+	if p == nil || interval <= 0 {
+		return p.Wait
+	}
+	tick := time.NewTicker(interval)
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		for {
+			select {
+			case <-tick.C:
+				p.Trigger("periodic")
+			case <-done:
+				return
+			}
+		}
+	}()
+	return func() {
+		tick.Stop()
+		close(done)
+		<-exited
+		p.Wait()
+	}
+}
+
 // Captures returns how many captures have been triggered.
 func (p *ProfileCapture) Captures() int {
 	if p == nil {

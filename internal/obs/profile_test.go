@@ -151,3 +151,39 @@ func TestReadProfilesMissingDir(t *testing.T) {
 		t.Fatalf("missing dir: %v, %v", infos, err)
 	}
 }
+
+// Every triggers periodic captures until stopped; stop waits out the
+// in-flight capture and no capture starts after it.
+func TestProfileCaptureEvery(t *testing.T) {
+	dir := t.TempDir()
+	p := NewProfileCapture(ProfileCaptureOptions{
+		Dir: dir, Window: time.Millisecond, NoCPU: true, MaxCaptures: -1,
+	})
+	stop := p.Every(time.Millisecond)
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Captures() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	stop()
+	n := p.Captures()
+	if n < 2 {
+		t.Fatalf("Captures = %d after 10s of 1ms ticks", n)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if p.Captures() != n {
+		t.Fatalf("captures went on after stop: %d → %d", n, p.Captures())
+	}
+	infos, err := ReadProfiles(dir)
+	if err != nil || len(infos) != n {
+		t.Fatalf("ReadProfiles = %d, %v; want all %d committed by stop", len(infos), err, n)
+	}
+	for _, info := range infos {
+		if info.Reason != "periodic" {
+			t.Fatalf("capture reason %q", info.Reason)
+		}
+	}
+	// No interval, or no capturer: stop only waits.
+	p.Every(0)()
+	var nilp *ProfileCapture
+	nilp.Every(time.Millisecond)()
+}

@@ -12,7 +12,6 @@ import (
 // digest function.
 func StateFromMarking(m map[string]int) State {
 	return State{
-		Execution:      m["execution"] > 0,
 		Quiescing:      m["quiescing"] > 0,
 		Checkpointing:  m["checkpointing"] > 0,
 		FSWait:         m["fs_wait"] > 0,
@@ -32,7 +31,7 @@ func StateFromMarking(m map[string]int) State {
 func FromEvents(events []trace.Event, end float64, opts Options) (*Timeline, error) {
 	rec := NewRecorder(opts)
 	// The model starts executing with the system up at t = 0.
-	rec.Begin(0, State{Execution: true, SysUp: true})
+	rec.Begin(0, State{SysUp: true})
 	last := 0.0
 	for i, ev := range events {
 		if ev.Marking == nil {

@@ -128,11 +128,11 @@ type Loss struct {
 }
 
 // State is the marking digest the recorder needs: the compute-side macro
-// state places plus the up flag. Exactly one macro state holds at any
-// instant in a well-formed trajectory; Phase() resolves them in priority
-// order so a digest from a transient mid-effect marking still classifies.
+// state places other than execution, plus the up flag. Exactly one macro
+// state holds at any instant in a well-formed trajectory; Phase() resolves
+// them in priority order, Computation when none is marked, so a digest
+// from a transient mid-effect marking still classifies.
 type State struct {
-	Execution      bool // place "execution"
 	Quiescing      bool // place "quiescing"
 	Checkpointing  bool // place "checkpointing"
 	FSWait         bool // place "fs_wait"

@@ -330,7 +330,7 @@ func foldMatchesTimeline(t *testing.T, feed func(*Recorder), end float64, window
 // and a second one right after recovery, folded into windows whose edges
 // fall on loss times, inside rework and at the horizon.
 func TestWindowFoldMatchesTimeline(t *testing.T) {
-	up := State{Execution: true, SysUp: true}
+	up := State{SysUp: true}
 	feed := func(r *Recorder) {
 		r.Begin(0, up)
 		r.Observe(5, "start_quiesce", State{Quiescing: true, SysUp: true})
@@ -380,7 +380,7 @@ func TestFoldWindowAfterSpans(t *testing.T) {
 	}
 	split := stored.SplitRework()
 	r := NewRecorder(Options{})
-	r.Begin(0, State{Execution: true, SysUp: true})
+	r.Begin(0, State{SysUp: true})
 	for i, ev := range events {
 		if i == 5 {
 			r.FoldWindow(12, 35)

@@ -24,9 +24,9 @@ func baseFlags(args ...string) *flag.FlagSet {
 	return fs
 }
 
-// BaseConfig applies every config flag over the defaults, only the
-// explicit ones over a -config file or -scenario, never a skipped one,
-// and refuses both bases at once.
+// BaseConfig applies only the explicitly set config flags, over the
+// defaults, a -config file or a -scenario alike, never a skipped one, and
+// refuses both bases at once.
 func TestBaseConfig(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "m.json")
 	if err := os.WriteFile(file, []byte(`{"processors": 16384, "mttfYears": 2}`), 0o644); err != nil {
@@ -48,8 +48,9 @@ func TestBaseConfig(t *testing.T) {
 		procs            int
 		mttf, r          float64
 	}{
-		{"defaults take every flag", baseFlags(), "", "", nil, 65536, cluster.Years(1), 400},
-		{"skip leaves r alone", baseFlags(), "", "", []string{"r"}, 65536, cluster.Years(1), cluster.Default().CorrelatedFactor},
+		{"unset flags leave the defaults", baseFlags(), "", "", nil, 65536, cluster.Years(1), cluster.Default().CorrelatedFactor},
+		{"explicit flag overrides defaults", baseFlags("-r", "5"), "", "", nil, 65536, cluster.Years(1), 5},
+		{"skip leaves r alone", baseFlags("-r", "5"), "", "", []string{"r"}, 65536, cluster.Years(1), cluster.Default().CorrelatedFactor},
 		{"file keeps its values", baseFlags(), file, "", nil, 16384, cluster.Years(2), cluster.Default().CorrelatedFactor},
 		{"explicit flag overrides file", baseFlags("-mttf-years", "3"), file, "", nil, 16384, cluster.Years(3), cluster.Default().CorrelatedFactor},
 		{"scenario keeps its values", baseFlags(), "", "error-propagation", nil, scen.Processors, scen.MTTFPerNode, scen.CorrelatedFactor},
@@ -77,5 +78,22 @@ func TestBaseConfig(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("BaseConfig(%q, %q): %v, want an error containing %q", tc.config, tc.scenario, err, tc.want)
 		}
+	}
+}
+
+// Flags declared from every vocabulary entry, none set, give exactly the
+// defaults.
+func TestBaseConfigDeclaredFlagsKeepDefaults(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	cluster.DeclareFlags(fs, cluster.ParamNames()...)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := Builtin().BaseConfig(fs, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg != cluster.Default() {
+		t.Errorf("BaseConfig = %+v, want cluster.Default() %+v", cfg, cluster.Default())
 	}
 }

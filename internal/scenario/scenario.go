@@ -245,10 +245,9 @@ func Resolve(dir string) (*Registry, error) {
 
 // BaseConfig resolves a CLI's base configuration: the configio file at
 // configPath or the named scenario (not both), else the defaults. It then
-// applies the configuration flags of fs — those named in the cluster
-// parameter vocabulary, minus skip — through cluster.SetParam: all of
-// them over the defaults, only the explicitly set ones over a file or
-// scenario, so flag defaults never clobber what the base chose.
+// applies the explicitly set configuration flags of fs — those named in
+// the cluster parameter vocabulary, minus skip — through
+// cluster.SetParam, so flag defaults never clobber what the base chose.
 func (r *Registry) BaseConfig(fs *flag.FlagSet, configPath, name string, skip ...string) (cluster.Config, error) {
 	cfg := cluster.Default()
 	var err error
@@ -266,11 +265,7 @@ func (r *Registry) BaseConfig(fs *flag.FlagSet, configPath, name string, skip ..
 			cfg, err = configio.Load(bytes.NewReader(data))
 		}
 	}
-	visit := fs.Visit
-	if configPath == "" && name == "" {
-		visit = fs.VisitAll
-	}
-	visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if set, perr := cluster.ParamSetter(f.Name); err == nil && perr == nil && !slices.Contains(skip, f.Name) {
 			err = set(&cfg, f.Value.String())
 		}
