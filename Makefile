@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-smoke bench-record bench-trend cover ci validate-scenarios sweep-resume-smoke obs-smoke provenance-smoke vr-smoke e2ebench-check figures figures-check figures-paper examples clean
+.PHONY: all build test vet race bench bench-smoke bench-record bench-trend cover ci validate-scenarios sweep-resume-smoke obs-smoke provenance-smoke vr-smoke e2ebench-check e2ebench-pairs figures figures-check figures-paper examples clean
 
 all: build vet test
 
@@ -137,6 +137,19 @@ vr-smoke:
 # benchmark runs. Build (binary discarded), vet and test it in place.
 e2ebench-check:
 	cd e2ebench && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
+
+# Paired end-to-end comparison of revision REF against the working tree on
+# one e2ebench workload: REF is built from a git worktree under
+# .bench_build/, each side through its own e2ebench/run.sh; PAIRS pairs
+# alternate which side runs first, pair i runs seed SEED+i-1 on both
+# sides, and every end-to-end metric's per-side median, the reference's
+# quartiles and the median ratio are printed (scripts/e2ebench-pairs.sh).
+REF ?= HEAD
+WORKLOAD ?= compare-correlated
+PAIRS ?= 10
+SEED ?= 1
+e2ebench-pairs:
+	bash scripts/e2ebench-pairs.sh "$(REF)" "$(WORKLOAD)" "$(PAIRS)" "$(SEED)"
 
 # Everything the GitHub Actions workflow runs (.github/workflows/ci.yml),
 # locally: the tier-1 suite, every example run once, the race tier, the

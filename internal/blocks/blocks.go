@@ -17,6 +17,20 @@
 // folds results in manifest order — so which process ran a block, how many
 // processes participated, and how often they crashed are all invisible in
 // the reduced output.
+//
+// Durability contract. A commit (atomicWrite) fsyncs the file's data and
+// then renames it into place; it does not fsync the directory. So:
+//
+//   - after a process crash (kill -9, OOM, panic) no committed block is
+//     lost — the kernel still holds the rename;
+//   - after a power loss or kernel crash a committed block may re-run,
+//     because its rename can be lost with the directory's unflushed
+//     metadata, and a journal whose tail the filesystem tore reads as
+//     ErrIncomplete, which also re-runs the block;
+//   - either way the reduce is never wrong: it reads only journals that
+//     verify against the manifest and carry their commit trailer, and a
+//     re-run block reproduces its records exactly (only timestamps and
+//     wall times differ).
 package blocks
 
 import (

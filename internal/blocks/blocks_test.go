@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
@@ -142,6 +143,51 @@ func TestLeaseClaimHeldReclaim(t *testing.T) {
 	}
 	if res, err = claim(dir, m, 0, "w3", time.Minute, now); err != nil || res != claimWon {
 		t.Fatalf("claim after release: %v, %v", res, err)
+	}
+}
+
+// TestHeldClaimWritesNothing: a claim that finds an unexpired lease of its
+// own run settles on reading it. It returns claimHeld and writes nothing
+// in the lease directory: no temp file is left, and the directory's
+// mtime — set into the past first, so any create or remove bumps it — is
+// unchanged.
+func TestHeldClaimWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	m := testPlan(t, 2)
+	if err := CreateRun(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	if res, err := claim(dir, m, 0, "w1", time.Minute, now); err != nil || res != claimWon {
+		t.Fatalf("first claim: %v, %v", res, err)
+	}
+	leases := filepath.Dir(LeasePath(dir, 0))
+	past := now.Add(-time.Hour)
+	if err := os.Chtimes(leases, past, past); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(leases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := claim(dir, m, 0, "w2", time.Minute, now); err != nil || res != claimHeld {
+		t.Fatalf("held claim: %v, %v", res, err)
+	}
+	after, err := os.Stat(leases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.ModTime().Equal(before.ModTime()) {
+		t.Errorf("held claim modified the lease directory: mtime %v → %v", before.ModTime(), after.ModTime())
+	}
+	entries, err := os.ReadDir(leases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp-") {
+			t.Errorf("held claim left %s", e.Name())
+		}
 	}
 }
 

@@ -64,13 +64,23 @@ const (
 	claimReclaimed                    // we hold it after breaking an expired lease
 )
 
-// claim attempts to acquire the block's lease. The fresh-claim path is a
-// single atomic create (tryCreateLease). The reclaim path first renames
-// the expired lease to a unique stale name — rename is atomic, so exactly
-// one of several contending workers wins the break — and then competes on
-// the normal create.
+// claim attempts to acquire the block's lease. It reads an existing lease
+// first: a held lease is the common outcome while several workers poll a
+// run, and settling it needs no write. An absent or expired lease falls
+// through to the atomic path. The fresh-claim path is a single atomic
+// create (tryCreateLease). The reclaim path first renames the expired
+// lease to a unique stale name — rename is atomic, so exactly one of
+// several contending workers wins the break — and then competes on the
+// normal create.
 func claim(dir string, m *Manifest, block int, worker string, ttl time.Duration, now time.Time) (claimResult, error) {
 	path := LeasePath(dir, block)
+	if held, err := readLease(path); err == nil {
+		if blocked, err := heldAgainst(path, held, m, now); blocked || err != nil {
+			return claimHeld, err
+		}
+	} else if !os.IsNotExist(err) {
+		return claimHeld, err
+	}
 	reclaimed := false
 	for attempt := 0; attempt < 2; attempt++ {
 		res, err := tryCreateLease(path, m, block, worker, ttl, now)
@@ -92,11 +102,8 @@ func claim(dir string, m *Manifest, block int, worker string, ttl time.Duration,
 		if err != nil {
 			return claimHeld, err
 		}
-		if held.ManifestHash != m.Hash {
-			return claimHeld, fmt.Errorf("blocks: lease %s belongs to manifest %s, this run is %s", path, held.ManifestHash, m.Hash)
-		}
-		if !held.Expired(now) {
-			return claimHeld, nil
+		if blocked, err := heldAgainst(path, held, m, now); blocked || err != nil {
+			return claimHeld, err
 		}
 		// Expired: break it. Only one contender's rename succeeds.
 		stale := fmt.Sprintf("%s.stale-%d-%d", path, now.UnixNano(), os.Getpid())
@@ -110,6 +117,15 @@ func claim(dir string, m *Manifest, block int, worker string, ttl time.Duration,
 		reclaimed = true
 	}
 	return claimHeld, nil
+}
+
+// heldAgainst reports whether an existing lease stops this run's claim:
+// an unexpired lease does, and a lease of another manifest is an error.
+func heldAgainst(path string, held Lease, m *Manifest, now time.Time) (bool, error) {
+	if held.ManifestHash != m.Hash {
+		return true, fmt.Errorf("blocks: lease %s belongs to manifest %s, this run is %s", path, held.ManifestHash, m.Hash)
+	}
+	return !held.Expired(now), nil
 }
 
 // tryCreateLease attempts the atomic create: the lease is written to a

@@ -76,15 +76,18 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 // BenchmarkSpanWindow is one replication of the runner's span check: a
 // recycled error-propagation instance with a phase recorder folding the
-// paper's measurement window (1000 h warmup + 4000 h). allocs/op is the
-// recorder plus its losses slice; it does not grow with the ~30k spans a
-// replication closes (TestSpanWindowAllocsTrackLosses holds that).
+// paper's measurement window (1000 h warmup + 4000 h). allocs/op is 0: the
+// instance owns its recorder and keeps its loss storage across
+// replications, so only a seed with more rollbacks than any before it
+// grows the storage, and nothing grows with the ~30k spans a replication
+// closes (TestSpanWindowAllocsTrackLosses holds that).
 func BenchmarkSpanWindow(b *testing.B) {
 	const warmup, measure = 1000.0, 4000.0
 	in, err := New(catalog(b, "error-propagation"), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	in.AttachPhases().FoldWindow(warmup, warmup+measure) // warm the recorder too
 	if _, err := in.RunSteadyState(warmup, measure); err != nil {
 		b.Fatal(err)
 	}

@@ -48,31 +48,19 @@ type stateRewards struct {
 	reboot    *san.RateReward
 }
 
-// addStateRewards registers the occupancy rewards on the simulator. Each
-// reward declares the places its rate function reads so the simulator only
-// re-evaluates it when one of them changes.
+// addStateRewards registers the occupancy rewards on the simulator as
+// indicators of the places that mark each state, so the simulator only
+// re-evaluates one when a place it reads changes — with mask tests, not a
+// closure call.
 func (in *Instance) addStateRewards() {
-	pl := in.pl
-	ind := func(p *san.Place) func(m *san.Marking) float64 {
-		return func(m *san.Marking) float64 {
-			if m.Has(p) {
-				return 1
-			}
-			return 0
-		}
-	}
+	pl, sim := in.pl, in.sim
 	in.states = stateRewards{
-		execution: in.sim.AddRateReward("state_execution", ind(pl.execution), pl.execution),
-		quiesce:   in.sim.AddRateReward("state_quiesce", ind(pl.quiescing), pl.quiescing),
-		dump:      in.sim.AddRateReward("state_dump", ind(pl.checkpointing), pl.checkpointing),
-		fsWait:    in.sim.AddRateReward("state_fswait", ind(pl.fsWait), pl.fsWait),
-		recovery: in.sim.AddRateReward("state_recovery", func(m *san.Marking) float64 {
-			if m.Has(pl.recoveryStage1) || m.Has(pl.recoveryStage2) {
-				return 1
-			}
-			return 0
-		}, pl.recoveryStage1, pl.recoveryStage2),
-		reboot: in.sim.AddRateReward("state_reboot", ind(pl.rebooting), pl.rebooting),
+		execution: sim.AddIndicator("state_execution", []*san.Place{pl.execution}, nil),
+		quiesce:   sim.AddIndicator("state_quiesce", []*san.Place{pl.quiescing}, nil),
+		dump:      sim.AddIndicator("state_dump", []*san.Place{pl.checkpointing}, nil),
+		fsWait:    sim.AddIndicator("state_fswait", []*san.Place{pl.fsWait}, nil),
+		recovery:  sim.AddIndicator("state_recovery", nil, []*san.Place{pl.recoveryStage1, pl.recoveryStage2}),
+		reboot:    sim.AddIndicator("state_reboot", []*san.Place{pl.rebooting}, nil),
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/cluster"
-	"repro/internal/phasetrace"
 	"repro/internal/rng"
 	"repro/internal/san"
 	"repro/internal/stats"
@@ -47,12 +46,8 @@ type Instance struct {
 
 	counters Counters
 
-	// Phase recording indirection: the simulator's firing hooks cannot be
-	// removed, so the instance installs a single forwarding hook the first
-	// time AttachPhases is called and swaps the recorder behind it. Recycle
-	// clears phaseRec, detaching recording without touching the hook list.
-	phaseRec  *phasetrace.Recorder
-	phaseHook bool
+	// phases is the phase recording behind AttachPhases (phases.go).
+	phases phaseFeed
 
 	// Variance-reduction routing (vr.go): antithetic reflection and
 	// common-random-numbers purpose sub-streams. Both off by default;
@@ -99,8 +94,11 @@ func New(cfg cluster.Config, seed uint64) (*Instance, error) {
 		return nil, err
 	}
 	inst.sim = sim
-	inst.progress = sim.AddRateReward("progress", inst.progressRate,
-		inst.pl.execution, inst.pl.sysUp)
+	// The useful-work accrual rate: 1 while the compute nodes execute the
+	// application (computation or application I/O both count, Section 7)
+	// with the system up; 0 while quiescing, checkpointing, recovering or
+	// rebooting.
+	inst.progress = sim.AddIndicator("progress", []*san.Place{inst.pl.execution, inst.pl.sysUp}, nil)
 	inst.addStateRewards()
 	return inst, nil
 }
@@ -135,16 +133,6 @@ func (in *Instance) Model() *san.Model { return in.mod }
 
 // Counters returns the event tallies so far.
 func (in *Instance) Counters() Counters { return in.counters }
-
-// progressRate is the useful-work accrual rate: 1 while the compute nodes
-// are executing the application (computation or application I/O both count,
-// Section 7), 0 while quiescing, checkpointing, recovering or rebooting.
-func (in *Instance) progressRate(m *san.Marking) float64 {
-	if m.Has(in.pl.execution) && m.Has(in.pl.sysUp) {
-		return 1
-	}
-	return 0
-}
 
 // useful returns the net useful work accrued so far, P − L.
 func (in *Instance) useful() float64 { return in.progress.Integral() - in.lost }

@@ -1,12 +1,14 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/phasetrace"
+	"repro/internal/trace"
 )
 
 // aggressive returns a config that exercises failures, recoveries and
@@ -157,4 +159,74 @@ func TestSplitReworkMatchesRepeatedFraction(t *testing.T) {
 	if m.Counters.ComputeFailures > 0 && b[phasetrace.Rework] == 0 && m.RepeatedWorkFraction > 0 {
 		t.Error("failures occurred but the split found no rework")
 	}
+}
+
+// TestLiveRecorderMatchesReplay: the live recorder — fed by the hook that
+// reads the presence word, looks up precomputed action codes and ticks
+// firings that change neither — records, bit for bit, the timeline the
+// reference path records: the same trajectory's firings and post-firing
+// markings replayed through phasetrace.FromEvents (name-based Observe on
+// StateFromMarking's digest). One instance per configuration is recycled
+// onto each seed, so the recorder's reset and reused storage are covered.
+func TestLiveRecorderMatchesReplay(t *testing.T) {
+	noBuffer := aggressive()
+	noBuffer.NoBufferedRecovery = true
+	configs := map[string]cluster.Config{
+		"base":               catalog(t, "base"),
+		"max-of-n":           catalog(t, "max-of-n"),
+		"timeout":            catalog(t, "timeout"),
+		"error-propagation":  catalog(t, "error-propagation"),
+		"NoBufferedRecovery": noBuffer,
+	}
+	const horizon = 1500.0
+	for name, cfg := range configs {
+		t.Run(name, func(t *testing.T) {
+			in := mustNew(t, cfg, 1)
+			for _, seed := range []uint64{1, 2, 3} {
+				in.Recycle(seed)
+				rec := in.AttachPhases()
+				var events []trace.Event
+				in.SetTrace(func(tm float64, activity string, mk map[string]int) {
+					events = append(events, trace.Event{Time: tm, Activity: activity, Marking: mk})
+				}, true)
+				in.Advance(horizon)
+				live := rec.Finish(in.Now())
+				replay, err := phasetrace.FromEvents(events, in.Now(), phasetrace.Options{NoBufferedRecovery: cfg.NoBufferedRecovery})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(live.Losses) == 0 {
+					t.Fatalf("seed %d: no rollback in %v h; the comparison would not cover losses", seed, horizon)
+				}
+				if err := sameTimeline(live, replay); err != nil {
+					t.Errorf("seed %d (%d firings): live recorder differs from the replay: %v", seed, len(events), err)
+				}
+			}
+		})
+	}
+}
+
+// sameTimeline compares two timelines span for span and loss for loss,
+// every time and amount by its bits.
+func sameTimeline(a, b *phasetrace.Timeline) error {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !same(a.Start, b.Start) || !same(a.End, b.End) {
+		return fmt.Errorf("bounds [%v, %v] vs [%v, %v]", a.Start, a.End, b.Start, b.End)
+	}
+	if len(a.Spans) != len(b.Spans) || len(a.Losses) != len(b.Losses) {
+		return fmt.Errorf("%d spans, %d losses vs %d spans, %d losses", len(a.Spans), len(a.Losses), len(b.Spans), len(b.Losses))
+	}
+	for i, x := range a.Spans {
+		y := b.Spans[i]
+		if x.Phase != y.Phase || x.Cause != y.Cause || !same(x.Start, y.Start) || !same(x.End, y.End) {
+			return fmt.Errorf("span %d: %+v vs %+v", i, x, y)
+		}
+	}
+	for i, x := range a.Losses {
+		y := b.Losses[i]
+		if x.Cause != y.Cause || !same(x.Time, y.Time) || !same(x.Amount, y.Amount) {
+			return fmt.Errorf("loss %d: %+v vs %+v", i, x, y)
+		}
+	}
+	return nil
 }

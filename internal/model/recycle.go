@@ -7,7 +7,7 @@ import "repro/internal/stats"
 // reward registrations and the simulator (calendar, marking, per-activity
 // caches) are all reused. Only trajectory state is rewound —
 // the random stream is reseeded in place, the reward scalars and counters
-// are zeroed, any attached phase recorder is detached, and san.Simulator.
+// are zeroed, the phase recorder is detached and reset, and san.Simulator.
 // Reset restores the initial marking and reschedules the initial events.
 //
 // A recycled instance reproduces the trajectory of a freshly built one
@@ -34,7 +34,7 @@ func (in *Instance) Recycle(seed uint64) {
 	in.capD = 0
 	in.lossStats = stats.Accumulator{}
 	in.counters = Counters{}
-	in.phaseRec = nil
+	in.detachPhases()
 	in.sim.Reset()
 }
 

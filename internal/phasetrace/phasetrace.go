@@ -163,6 +163,44 @@ func (st State) Phase() Phase {
 	}
 }
 
+// Action is the checkpoint-level bookkeeping one activity's firing
+// applies, as the model's effects apply it (see internal/model/failrec.go).
+// Observe derives it from the activity name with ActionOf; a live observer
+// that knows its activities computes each one's action once and passes it
+// to ObserveAction.
+type Action uint8
+
+const (
+	// ActionNone: the firing moves no checkpoint level.
+	ActionNone Action = iota
+	// ActionDump ("dump_chkpt"): the buffered checkpoint captures all
+	// work up to the quiesce point; nothing accrued since, so it secures
+	// exactly the current useful level.
+	ActionDump
+	// ActionWrite ("write_chkpt"): the durable copy catches up with the
+	// buffer.
+	ActionWrite
+	// ActionRestore ("io_failure", "recover_stage1"): the buffers fall
+	// back to the durable level — an I/O restart wipes them before any
+	// rollback the same firing may trigger, and recovery stage 1 re-reads
+	// the durable checkpoint into them.
+	ActionRestore
+)
+
+// ActionOf maps a paper-model activity name to its checkpoint-level
+// action; every other name is ActionNone.
+func ActionOf(activity string) Action {
+	switch activity {
+	case "dump_chkpt":
+		return ActionDump
+	case "write_chkpt":
+		return ActionWrite
+	case "io_failure", "recover_stage1":
+		return ActionRestore
+	}
+	return ActionNone
+}
+
 // Options configures a recorder.
 type Options struct {
 	// NoBufferedRecovery mirrors cluster.Config.NoBufferedRecovery: under
@@ -174,7 +212,11 @@ type Options struct {
 // Recorder is the live phase-span extractor: feed it one Observe per
 // activity firing (model.Instance.AttachPhases wires this up) and call
 // Finish at the horizon. A Recorder is single-goroutine, like the
-// simulator that feeds it.
+// simulator that feeds it. Observe is the reference path: it classifies
+// the firing from the activity name and the full digest. A live observer
+// may instead call ObserveAction with a precomputed action, and Tick for a
+// firing that changes neither the digest nor a checkpoint level; the three
+// record the same timeline bit for bit.
 //
 // By default the recorder keeps every span, for exports and replays that
 // need the timeline. After FoldWindow it keeps none: each span is folded
@@ -208,6 +250,16 @@ type Recorder struct {
 // NewRecorder returns an idle recorder; call Begin before Observe.
 func NewRecorder(opts Options) *Recorder { return &Recorder{opts: opts} }
 
+// Reset returns the recorder to the idle state NewRecorder gives, with the
+// same options, keeping the capacity of its span and loss storage: a
+// recorder reused across trajectories stops allocating once it has held
+// the longest. Windows and losses read from it before the Reset share that
+// storage and are overwritten by the next trajectory; a Timeline from
+// Finish is a copy and stays valid.
+func (r *Recorder) Reset() {
+	*r = Recorder{opts: r.opts, spans: r.spans[:0], losses: r.losses[:0]}
+}
+
 // Begin opens the first span at time t from the given state. Beginning
 // twice panics — a recorder extracts exactly one trajectory.
 func (r *Recorder) Begin(t float64, st State) {
@@ -224,13 +276,29 @@ func (r *Recorder) Begin(t float64, st State) {
 // Observe feeds one activity firing: the firing time, the activity name
 // and the post-firing marking digest. Observations must be time-ordered.
 func (r *Recorder) Observe(t float64, activity string, st State) {
-	if !r.started {
-		panic("phasetrace: Observe before Begin")
-	}
+	r.ObserveAction(t, activity, ActionOf(activity), st)
+}
+
+// Tick feeds a firing that leaves the digest as the previous observation
+// (or Begin) left it and applies ActionNone: for such a firing it is
+// exactly Observe, which then only accrues computation time. Keeping that
+// accrual per firing keeps the order of the float additions — and with it
+// every useful level and loss — identical to Observe's.
+func (r *Recorder) Tick(t float64) {
 	if r.cur == Computation {
 		r.useful += t - r.lastT
 	}
 	r.lastT = t
+}
+
+// ObserveAction is Observe with the firing's checkpoint-level action
+// already derived from the activity name (ActionOf), which becomes the
+// cause of any span or loss the firing opens.
+func (r *Recorder) ObserveAction(t float64, activity string, act Action, st State) {
+	if !r.started {
+		panic("phasetrace: Observe before Begin")
+	}
+	r.Tick(t)
 
 	// Close the span before recording this firing's rollback: the span
 	// ends at t, and a loss at t applies only to spans that start at or
@@ -245,22 +313,13 @@ func (r *Recorder) Observe(t float64, activity string, st State) {
 	}
 
 	// Checkpoint-level bookkeeping, mirroring the model's effects in the
-	// order the effects apply them (see internal/model/failrec.go).
-	switch activity {
-	case "dump_chkpt":
-		// The buffered checkpoint captures all work up to the quiesce
-		// point; nothing accrued since, so it secures exactly the
-		// current useful level.
+	// order the effects apply them (see Action).
+	switch act {
+	case ActionDump:
 		r.capB = r.useful
-	case "write_chkpt":
-		// The durable copy catches up with the buffer.
+	case ActionWrite:
 		r.capD = r.capB
-	case "io_failure":
-		// The I/O restart wipes the buffers before any rollback the
-		// same firing may trigger.
-		r.capB = r.capD
-	case "recover_stage1":
-		// Stage 1 re-reads the durable checkpoint into the buffers.
+	case ActionRestore:
 		r.capB = r.capD
 	}
 	if st.Rebooting && !r.prevRebooting {
@@ -294,7 +353,7 @@ func (r *Recorder) close(sp Span) {
 // FoldWindow makes the recorder fold every span into the measurement
 // window [t0, t1] as it closes — split into rework and computation,
 // clipped, summed per phase — instead of keeping it. Spans kept so far are
-// folded in and released. Losses are still kept (there are only as many
+// folded in and dropped. Losses are still kept (there are only as many
 // as rollbacks). A folding recorder has no timeline: read it with Window;
 // Finish panics.
 func (r *Recorder) FoldWindow(t0, t1 float64) {
@@ -302,7 +361,7 @@ func (r *Recorder) FoldWindow(t0, t1 float64) {
 	for _, sp := range r.spans {
 		r.win.add(sp, r.losses)
 	}
-	r.folding, r.spans = true, nil
+	r.folding, r.spans = true, r.spans[:0]
 }
 
 // Window closes the open span at the horizon t, folds it and returns the
@@ -517,7 +576,8 @@ type Window struct {
 	// window — len(SplitRework().Spans) of the equivalent timeline.
 	Spans int
 	// Losses are the rollback losses inside (T0, T1], in time order. They
-	// share the recorder's storage: do not modify them.
+	// share the recorder's storage: do not modify them, and read them
+	// before the recorder's next Reset.
 	Losses []Loss
 
 	split reworkSplit

@@ -1,6 +1,7 @@
 package san
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/rng"
@@ -274,6 +275,95 @@ func TestResetReusesSchedulerState(t *testing.T) {
 		if incr[i] != full[i] || incr[i] != reused[i] {
 			t.Fatalf("post-reset event %d differs: reused=%+v incr=%+v full=%+v",
 				i, reused[i], incr[i], full[i])
+		}
+	}
+}
+
+// indicatorRun registers indicator rewards — all-of, any-of and both, over
+// places that start marked and places that start empty — on the
+// hyper-exponential net, each beside a hand-written closure reward of the
+// same rate, then runs segments of 50 h under the scheduler mode
+// fullScan(segment) picks, resetting the simulator after the third. It
+// returns every reward's integral after each segment, indicators first.
+func indicatorRun(t *testing.T, seed uint64, fullScan func(seg int) bool) [][]float64 {
+	t.Helper()
+	m := buildHyperExpNet()
+	sim, err := NewSimulator(m, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	work, buffer, mode := m.LookupPlace("work"), m.LookupPlace("buffer"), m.LookupPlace("mode")
+	pool, drained := m.LookupPlace("pool"), m.LookupPlace("drained")
+	rate := func(on bool) float64 {
+		if on {
+			return 1
+		}
+		return 0
+	}
+	rewards := []*RateReward{
+		sim.AddIndicator("work", []*Place{work}, nil),
+		sim.AddIndicator("mode_and_pool", []*Place{mode, pool}, nil),
+		sim.AddIndicator("buffer_or_drained", nil, []*Place{buffer, drained}),
+		sim.AddIndicator("pool_and_mode_or_drained", []*Place{pool}, []*Place{mode, drained}),
+		sim.AddRateReward("ref_work", func(mk *Marking) float64 { return rate(mk.Has(work)) }, work),
+		sim.AddRateReward("ref_mode_and_pool", func(mk *Marking) float64 {
+			return rate(mk.Has(mode) && mk.Has(pool))
+		}, mode, pool),
+		sim.AddRateReward("ref_buffer_or_drained", func(mk *Marking) float64 {
+			return rate(mk.Has(buffer) || mk.Has(drained))
+		}, buffer, drained),
+		sim.AddRateReward("ref_pool_and_mode_or_drained", func(mk *Marking) float64 {
+			return rate(mk.Has(pool) && (mk.Has(mode) || mk.Has(drained)))
+		}, pool, mode, drained),
+	}
+	var out [][]float64
+	for seg := 0; seg < 6; seg++ {
+		if seg == 3 {
+			sim.Reset()
+		}
+		sim.FullScan = fullScan(seg)
+		sim.RunUntil(float64(seg%3+1) * 50)
+		row := make([]float64, len(rewards))
+		for i, r := range rewards {
+			row[i] = r.Integral()
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+// TestIndicatorRewardsDifferential: indicator rewards compiled to masks
+// (incremental refresh) integrate bit-identically to their Rate closures
+// (FullScan) and to hand-written closure rewards of the same rate, in pure
+// runs of either mode, across mid-run FullScan toggles and across a Reset.
+func TestIndicatorRewardsDifferential(t *testing.T) {
+	modes := map[string]func(seg int) bool{
+		"fullscan":          func(int) bool { return true },
+		"incremental-first": func(seg int) bool { return seg%2 == 1 },
+		"fullscan-first":    func(seg int) bool { return seg%2 == 0 },
+	}
+	for _, seed := range []uint64{1, 5, 23} {
+		want := indicatorRun(t, seed, func(int) bool { return false })
+		for seg, row := range want {
+			half := len(row) / 2
+			for i := range half {
+				if math.Float64bits(row[i]) != math.Float64bits(row[half+i]) {
+					t.Errorf("seed %d segment %d: indicator %d integrates %v, its closure reference %v", seed, seg, i, row[i], row[half+i])
+				}
+				if row[i] == 0 {
+					t.Errorf("seed %d segment %d: indicator %d never held; the comparison is vacuous", seed, seg, i)
+				}
+			}
+		}
+		for name, mode := range modes {
+			got := indicatorRun(t, seed, mode)
+			for seg := range want {
+				for i := range want[seg] {
+					if math.Float64bits(got[seg][i]) != math.Float64bits(want[seg][i]) {
+						t.Errorf("seed %d %s segment %d reward %d: %v, incremental %v", seed, name, seg, i, got[seg][i], want[seg][i])
+					}
+				}
+			}
 		}
 	}
 }

@@ -41,6 +41,10 @@ type Place struct {
 	index   int
 }
 
+// Bit is p's bit in a place mask such as the marking's presence word
+// (Marking.Present): 1 << p's creation index.
+func (p *Place) Bit() uint64 { return 1 << p.index }
+
 // Kind distinguishes timed activities (fire after a sampled delay) from
 // instantaneous ones (fire immediately when enabled).
 type Kind int
@@ -138,6 +142,10 @@ type Activity struct {
 	required uint64 // AllOf's places as a mask, built by Validate
 	react    uint64 // ReactivateOn places as a mask, built by Validate
 }
+
+// Index is a's creation index within its model: Model.Activities()[i] is
+// the activity of index i. Observers keep per-activity tables by it.
+func (a *Activity) Index() int { return a.index }
 
 // Enabled evaluates the input gate's condition.
 func (a *Activity) Enabled(m *Marking) bool { return a.Input.Cond(m) }

@@ -40,6 +40,11 @@ func (m *Marking) Get(p *Place) int { return m.tokens[p.index] }
 // Has reports whether p holds at least one token.
 func (m *Marking) Has(p *Place) bool { return m.present&(1<<p.index) != 0 }
 
+// Present returns the presence word: bit i (Place.Bit) is set exactly when
+// the place of index i holds at least one token. An observer digests many
+// places at once by masking it.
+func (m *Marking) Present() uint64 { return m.present }
+
 // Set assigns the token count of p. Negative counts panic: they always
 // indicate a broken gate function.
 func (m *Marking) Set(p *Place, n int) {
@@ -87,6 +92,11 @@ type RateReward struct {
 	integral float64
 	lastRate float64
 	lastTime float64
+
+	// An indicator (AddIndicator) compiled to place masks: its rate is 1
+	// exactly when present&all == all and, if any ≠ 0, present&any ≠ 0.
+	indicator bool
+	all, any  uint64
 }
 
 // Integral returns the accumulated ∫rate dt so far.
@@ -364,15 +374,59 @@ func (s *Simulator) AddInvariant(name string, check func(m *Marking) error) {
 // the rate after every firing. A simulator holds at most MaxSize rate
 // rewards; registering one more panics.
 func (s *Simulator) AddRateReward(name string, rate func(m *Marking) float64, reads ...*Place) *RateReward {
+	return s.addRate(&RateReward{Name: name, Rate: rate}, reads)
+}
+
+// AddIndicator registers an occupancy rate reward declaratively: its rate
+// is 1 while every place in allOf holds a token and, when anyOf is
+// non-empty, at least one place in anyOf does; 0 otherwise. The read-set
+// is allOf ∪ anyOf, and at least one place is required. The incremental
+// refresh tests the indicator with two masks against the presence word and
+// calls no closure; FullScan calls the equivalent Rate closure, so the
+// differential tests check every compiled mask against it, as for AllOf
+// gates.
+func (s *Simulator) AddIndicator(name string, allOf, anyOf []*Place) *RateReward {
+	if len(allOf)+len(anyOf) == 0 {
+		panic(fmt.Sprintf("san: indicator reward %q reads no place", name))
+	}
+	reads := append(append([]*Place(nil), allOf...), anyOf...)
+	all, some := reads[:len(allOf)], reads[len(allOf):]
+	r := &RateReward{Name: name, indicator: true, Rate: func(m *Marking) float64 {
+		for _, p := range all {
+			if !m.Has(p) {
+				return 0
+			}
+		}
+		if len(some) == 0 {
+			return 1
+		}
+		for _, p := range some {
+			if m.Has(p) {
+				return 1
+			}
+		}
+		return 0
+	}}
+	for _, p := range all {
+		r.all |= p.Bit()
+	}
+	for _, p := range some {
+		r.any |= p.Bit()
+	}
+	return s.addRate(r, reads)
+}
+
+// addRate validates reward r's read-set, registers it and evaluates its
+// initial rate.
+func (s *Simulator) addRate(r *RateReward, reads []*Place) *RateReward {
 	if len(s.rates) == MaxSize {
-		panic(fmt.Sprintf("san: rate reward %q exceeds the limit of %d rate rewards", name, MaxSize))
+		panic(fmt.Sprintf("san: rate reward %q exceeds the limit of %d rate rewards", r.Name, MaxSize))
 	}
 	for _, p := range reads {
 		if !s.model.owns(p) {
-			panic(fmt.Sprintf("san: rate reward %q reads foreign place %q", name, p.Name))
+			panic(fmt.Sprintf("san: rate reward %q reads foreign place %q", r.Name, p.Name))
 		}
 	}
-	r := &RateReward{Name: name, Rate: rate}
 	bit := uint64(1) << len(s.rates)
 	s.rates = append(s.rates, r)
 	s.refreshRate(len(s.rates)-1, s.cal.now)
@@ -662,10 +716,19 @@ func (s *Simulator) accrueRates(t float64) {
 }
 
 // refreshRate re-evaluates rate reward i against the current marking at
-// time t and keeps its rateOn bit in step with the new rate.
+// time t and keeps its rateOn bit in step with the new rate. The
+// incremental scheduler tests a compiled indicator's masks against the
+// presence word; FullScan, and every other reward, calls the Rate closure.
 func (s *Simulator) refreshRate(i int, t float64) {
 	r := s.rates[i]
-	r.lastRate = r.Rate(s.marking)
+	if r.indicator && !s.FullScan {
+		r.lastRate = 0
+		if p := s.marking.present; p&r.all == r.all && (r.any == 0 || p&r.any != 0) {
+			r.lastRate = 1
+		}
+	} else {
+		r.lastRate = r.Rate(s.marking)
+	}
 	r.lastTime = t
 	if r.lastRate != 0 {
 		s.rateOn |= 1 << i
