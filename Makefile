@@ -34,17 +34,17 @@ bench:
 	$(GO) test -run NONE -bench . -benchmem -count=5 ./internal/des ./internal/san ./internal/model ./internal/obs
 
 # The sentinel's benchmark set, declared once for bench-smoke, bench-record
-# and CI: the des event-pool benchmark (the protocol simulator's engine),
-# the SAN executor's calendar at the base model's depth, the
-# instance-recycle benchmarks, the incremental base-model trajectory (the
-# san settle hot loop) and the span check's window fold on a recycled
-# error-propagation instance. -benchtime=1x was a measurement theater — a
-# single iteration times mostly setup and scheduler noise, so the archived
-# ns/op could swing 10x between identical commits; 100 iterations × 3
-# samples gives compare's median+MAD detector something with an actual
-# central tendency, while staying cheap enough for every CI run.
-SENTINEL_BENCH = -run NONE -bench 'ScheduleFire$$|Calendar$$|RecycleVsRebuild|Trajectory/incremental$$|SpanWindow$$' \
-	-benchtime=100x -count=3 -benchmem ./internal/des ./internal/san ./internal/model
+# and CI, and only code the simulator runs: the SAN executor's calendar at
+# the base model's depth, the instance-recycle benchmarks, the incremental
+# base-model trajectory (the san settle hot loop) and the span check's
+# window fold on a recycled error-propagation instance. -benchtime=1x was
+# a measurement theater — a single iteration times mostly setup and
+# scheduler noise, so the archived ns/op could swing 10x between identical
+# commits; 100 iterations × 3 samples gives compare's median+MAD detector
+# something with an actual central tendency, while staying cheap enough
+# for every CI run.
+SENTINEL_BENCH = -run NONE -bench 'Calendar$$|RecycleVsRebuild|Trajectory/incremental$$|SpanWindow$$' \
+	-benchtime=100x -count=3 -benchmem ./internal/san ./internal/model
 
 # Allocation-economy smoke: the sentinel set, archived as BENCH_5.json via
 # ccbench.

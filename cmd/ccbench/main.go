@@ -17,8 +17,8 @@
 // metrics — the standard ns/op, B/op and allocs/op plus any custom
 // b.ReportMetric units (events/s, opt-procs@1yr, ...):
 //
-//	go test -run NONE -bench 'ScheduleFire|Calendar|RecycleVsRebuild' -benchmem \
-//	    ./internal/des ./internal/san ./internal/model | ccbench -o BENCH_5.json
+//	go test -run NONE -bench 'Calendar|RecycleVsRebuild' -benchmem \
+//	    ./internal/san ./internal/model | ccbench -o BENCH_5.json
 //
 // `record` additionally stamps the report with the run's provenance
 // (commit, go version, CPU, host) and a timestamp, and appends it as one

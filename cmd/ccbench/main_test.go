@@ -11,12 +11,12 @@ import (
 
 const transcript = `goos: linux
 goarch: amd64
-pkg: repro/internal/des
+pkg: repro/internal/san
 cpu: AMD EPYC 7B13
-BenchmarkScheduleFire-8   	24941218	        48.03 ns/op	       0 B/op	       0 allocs/op
-BenchmarkScheduleCancel-8 	18000000	        66.10 ns/op	       0 B/op	       0 allocs/op
+BenchmarkCalendar-8       	24941218	        48.03 ns/op	       0 B/op	       0 allocs/op
+BenchmarkSettle-8         	18000000	        66.10 ns/op	       0 B/op	       0 allocs/op
 PASS
-ok  	repro/internal/des	2.511s
+ok  	repro/internal/san	2.511s
 pkg: repro/internal/model
 BenchmarkRecycleVsRebuild/rebuild-8 	     100	  11000000 ns/op	  920000 B/op	   12000 allocs/op
 BenchmarkRecycleVsRebuild/recycle-8 	     120	  10400000 ns/op	 3714600 events/s	       0 B/op	       0 allocs/op
@@ -36,7 +36,7 @@ func TestParseBench(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 4", len(rep.Benchmarks))
 	}
 	first := rep.Benchmarks[0]
-	if first.Name != "ScheduleFire" || first.Procs != 8 || first.Pkg != "repro/internal/des" {
+	if first.Name != "Calendar" || first.Procs != 8 || first.Pkg != "repro/internal/san" {
 		t.Fatalf("first benchmark wrong: %+v", first)
 	}
 	if first.Iterations != 24941218 || first.Metrics["ns/op"] != 48.03 || first.Metrics["allocs/op"] != 0 {
@@ -52,7 +52,7 @@ func TestParseBench(t *testing.T) {
 }
 
 func TestParseBenchRejectsFailure(t *testing.T) {
-	in := "BenchmarkX-4 10 5.0 ns/op\nFAIL\trepro/internal/des\t0.1s\n"
+	in := "BenchmarkX-4 10 5.0 ns/op\nFAIL\trepro/internal/san\t0.1s\n"
 	if _, err := parseBench(strings.NewReader(in)); err == nil {
 		t.Fatal("FAIL transcript accepted")
 	}
@@ -127,7 +127,7 @@ func TestParseLineEdgeCases(t *testing.T) {
 // TestParseBenchFailMidStream: a FAIL after valid benchmark lines still
 // poisons the transcript.
 func TestParseBenchFailMidStream(t *testing.T) {
-	in := "BenchmarkA-4 10 5.0 ns/op\nFAIL\trepro/internal/des\t0.1s\nBenchmarkB-4 10 5.0 ns/op\n"
+	in := "BenchmarkA-4 10 5.0 ns/op\nFAIL\trepro/internal/san\t0.1s\nBenchmarkB-4 10 5.0 ns/op\n"
 	if _, err := parseBench(strings.NewReader(in)); err == nil {
 		t.Fatal("mid-stream FAIL accepted")
 	}
@@ -162,7 +162,7 @@ func TestRunStdoutAndErrors(t *testing.T) {
 	if err := run(nil, strings.NewReader(transcript), &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), `"ScheduleFire"`) {
+	if !strings.Contains(out.String(), `"Calendar"`) {
 		t.Fatalf("stdout JSON missing benchmark:\n%s", out.String())
 	}
 	if err := run([]string{"-x"}, strings.NewReader(""), &out); err == nil {

@@ -83,7 +83,7 @@ func parseBench(r io.Reader) (Report, error) {
 
 // parseLine parses one result line:
 //
-//	BenchmarkScheduleFire-8  24941218  48.0 ns/op  0 B/op  0 allocs/op
+//	BenchmarkCalendar-8  24941218  48.0 ns/op  0 B/op  0 allocs/op
 //
 // i.e. name, iteration count, then (value, unit) pairs. The trailing
 // "-N" is the GOMAXPROCS suffix go test appends (the go convention: split

@@ -12,8 +12,8 @@ import (
 // returns its transcript — the same shape `make bench-smoke` produces.
 func runRealBench(t *testing.T) string {
 	t.Helper()
-	cmd := exec.Command("go", "test", "-run", "NONE", "-bench", "ScheduleFire$",
-		"-benchtime", "10x", "-count", "3", "repro/internal/des")
+	cmd := exec.Command("go", "test", "-run", "NONE", "-bench", "Calendar$",
+		"-benchtime", "10x", "-count", "3", "repro/internal/san")
 	cmd.Dir = "../.." // module root
 	out, err := cmd.CombinedOutput()
 	if err != nil {
@@ -57,7 +57,7 @@ func TestSentinelEndToEnd(t *testing.T) {
 	if err := run([]string{"trend", "-history", hist}, strings.NewReader(""), &out); err != nil {
 		t.Fatalf("trend: %v", err)
 	}
-	if !strings.Contains(out.String(), "ScheduleFire") || !strings.Contains(out.String(), "ns/op") {
+	if !strings.Contains(out.String(), "Calendar") || !strings.Contains(out.String(), "ns/op") {
 		t.Fatalf("trend output:\n%s", out.String())
 	}
 
@@ -89,7 +89,7 @@ func TestSentinelEndToEnd(t *testing.T) {
 	if err == nil {
 		t.Fatalf("doctored regression not caught:\n%s", out.String())
 	}
-	if !strings.Contains(err.Error(), "ScheduleFire") || !strings.Contains(err.Error(), "ns/op") {
+	if !strings.Contains(err.Error(), "Calendar") || !strings.Contains(err.Error(), "ns/op") {
 		t.Fatalf("regression error does not name the benchmark: %v", err)
 	}
 }

@@ -63,37 +63,6 @@ func Efficiency(interval, overhead, restart, mtbf float64) (float64, error) {
 	return interval / expected, nil
 }
 
-// OptimalEfficiency maximises Efficiency over the interval by golden-
-// section search on (ε, bound] and returns (bestInterval, bestEfficiency).
-func OptimalEfficiency(overhead, restart, mtbf float64) (float64, float64, error) {
-	if overhead <= 0 || mtbf <= 0 {
-		return 0, 0, fmt.Errorf("analytic: overhead %v and MTBF %v must be positive", overhead, mtbf)
-	}
-	lo, hi := 1e-6, 10*mtbf
-	const phi = 0.6180339887498949
-	a, b := lo, hi
-	x1 := b - phi*(b-a)
-	x2 := a + phi*(b-a)
-	f := func(t float64) float64 {
-		e, _ := Efficiency(t, overhead, restart, mtbf)
-		return e
-	}
-	f1, f2 := f(x1), f(x2)
-	for i := 0; i < 200 && b-a > 1e-9*hi; i++ {
-		if f1 < f2 {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + phi*(b-a)
-			f2 = f(x2)
-		} else {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - phi*(b-a)
-			f1 = f(x1)
-		}
-	}
-	best := (a + b) / 2
-	return best, f(best), nil
-}
-
 // ExpectedCoordinationTime returns E[max of n i.i.d. exponentials] =
 // MTTQ·H_n, the paper's coordination time (Section 7.2: "the coordination
 // effect is logarithmic in the number of compute processors").

@@ -135,81 +135,3 @@ func TestCoordinationEfficiencyValidation(t *testing.T) {
 		t.Error("negative mttq accepted")
 	}
 }
-
-func TestLatencyAwareReducesToEfficiency(t *testing.T) {
-	interval, overhead, restart, mtbf := 0.5, 0.016, 0.167, 1.07
-	base, err := Efficiency(interval, overhead, restart, mtbf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same, err := LatencyAwareEfficiency(interval, overhead, overhead, restart, mtbf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(base-same) > 1e-12 {
-		t.Fatalf("L=C should reduce to Efficiency: %v vs %v", same, base)
-	}
-}
-
-func TestLatencyAwareMonotoneInLatency(t *testing.T) {
-	interval, overhead, restart, mtbf := 0.5, 0.016, 0.167, 1.07
-	prev := math.Inf(1)
-	for _, latency := range []float64{0.016, 0.05, 0.1, 0.2} {
-		eff, err := LatencyAwareEfficiency(interval, overhead, latency, restart, mtbf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eff >= prev {
-			t.Fatalf("efficiency not decreasing in latency at L=%v", latency)
-		}
-		prev = eff
-	}
-}
-
-func TestLatencyAwareValidation(t *testing.T) {
-	if _, err := LatencyAwareEfficiency(0, 1, 1, 1, 1); err == nil {
-		t.Error("zero interval accepted")
-	}
-	if _, err := LatencyAwareEfficiency(1, 0.5, 0.4, 1, 1); err == nil {
-		t.Error("latency below overhead accepted")
-	}
-	if _, err := LatencyAwareEfficiency(1, -1, 1, 1, 1); err == nil {
-		t.Error("negative overhead accepted")
-	}
-}
-
-func TestOptimalTimeoutAnalytic(t *testing.T) {
-	mttq := cluster.Seconds(10)
-	interval := cluster.Minutes(30)
-	dump := cluster.Seconds(47)
-	restart := cluster.Minutes(10)
-	mtbf := cluster.Years(3) / 8192
-
-	best, eff, err := OptimalTimeoutAnalytic(65536, mttq, interval, dump, restart, mtbf,
-		cluster.Seconds(10), cluster.Minutes(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The optimum must sit past the coordination scale E[Y] ≈ 117 s and
-	// must not beat the no-timeout efficiency (timeouts only ever abort).
-	ey := ExpectedCoordinationTime(65536, mttq)
-	if best < ey {
-		t.Fatalf("optimal timeout %v below E[Y] %v", best, ey)
-	}
-	noTimeout, _, err := CoordinationEfficiency(65536, mttq, 0, interval, dump, restart, mtbf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eff > noTimeout+1e-9 {
-		t.Fatalf("timeout efficiency %v beats no-timeout %v", eff, noTimeout)
-	}
-	if eff < noTimeout*0.95 {
-		t.Fatalf("optimal timeout efficiency %v far below no-timeout %v", eff, noTimeout)
-	}
-	if _, _, err := OptimalTimeoutAnalytic(100, mttq, interval, dump, restart, mtbf, -1, 1); err == nil {
-		t.Fatal("invalid bounds accepted")
-	}
-	if _, _, err := OptimalTimeoutAnalytic(100, mttq, interval, dump, restart, mtbf, 2, 1); err == nil {
-		t.Fatal("inverted bounds accepted")
-	}
-}

@@ -35,10 +35,3 @@ func ConditionalProbFromFactor(r float64, n int, perNodeRate, recoveryRate float
 	lambdaC := float64(n) * perNodeRate * (1 + r)
 	return lambdaC / (lambdaC + recoveryRate), nil
 }
-
-// GenericSystemRate returns the total system failure rate under generic
-// correlated failures, λs = λsi + λsc = nλ + αrnλ = nλ(1+αr) (Section 6,
-// Table 2). With the paper's r=400 and α=0.0025 the rate doubles.
-func GenericSystemRate(n int, perNodeRate, alpha, r float64) float64 {
-	return float64(n) * perNodeRate * (1 + alpha*r)
-}

@@ -69,12 +69,23 @@ func TestFactorInputValidation(t *testing.T) {
 	}
 }
 
+// genericSystemRate is the Section 6 total rate λs = λsi + λsc as the
+// simulator computes it from a configuration of n nodes with per-node MTTF.
+func genericSystemRate(n int, mttfPerNode, alpha, r float64) float64 {
+	c := cluster.Default()
+	c.Processors = n * c.ProcsPerNode
+	c.MTTFPerNode = mttfPerNode
+	c.GenericCorrelatedCoefficient = alpha
+	c.CorrelatedFactor = r
+	return c.ComputeFailureRate() + c.GenericCorrelatedRate()
+}
+
 // TestGenericRateDoubles pins the Figure 8 parameterisation: r=400,
 // α=0.0025 ⇒ λs = 2nλ ("the entire system failure rate gets doubled").
 func TestGenericRateDoubles(t *testing.T) {
 	n := 32768
 	perNode := 1 / cluster.Years(3)
-	got := GenericSystemRate(n, perNode, 0.0025, 400)
+	got := genericSystemRate(n, cluster.Years(3), 0.0025, 400)
 	want := 2 * float64(n) * perNode
 	if math.Abs(got-want)/want > 1e-12 {
 		t.Fatalf("λs = %v, want doubled rate %v", got, want)
@@ -82,7 +93,7 @@ func TestGenericRateDoubles(t *testing.T) {
 }
 
 func TestGenericRateNoCorrelation(t *testing.T) {
-	got := GenericSystemRate(100, 0.01, 0, 400)
+	got := genericSystemRate(100, 100, 0, 400)
 	if got != 1.0 {
 		t.Fatalf("α=0 rate = %v, want nλ = 1.0", got)
 	}

@@ -352,17 +352,6 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
-// CellBlocks returns the cell's blocks in replication order.
-func (m *Manifest) CellBlocks(ci int) []Block {
-	var out []Block
-	for _, b := range m.Blocks {
-		if b.CellIndex == ci {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // Run-directory layout. Everything lives under one directory so a sweep is
 // a single artifact that can sit on shared storage:
 //

@@ -20,7 +20,7 @@ import (
 )
 
 // testPlan builds a small two-cell plan with a synthetic configuration.
-func testPlan(t *testing.T, blockSize int) *Manifest {
+func testPlan(t testing.TB, blockSize int) *Manifest {
 	t.Helper()
 	cfg := cluster.Default()
 	m, err := Plan([]Cell{
@@ -60,8 +60,10 @@ func TestPlanPartitionsAndSeeds(t *testing.T) {
 	// The flattened block seeds must be exactly the monolithic derivation.
 	for ci, c := range m.Cells {
 		var got []uint64
-		for _, b := range m.CellBlocks(ci) {
-			got = append(got, b.Seeds...)
+		for _, b := range m.Blocks {
+			if b.CellIndex == ci {
+				got = append(got, b.Seeds...)
+			}
 		}
 		want := ReplicationSeeds(c.Seed, c.Replications)
 		if fmt.Sprint(got) != fmt.Sprint(want) {

@@ -91,15 +91,29 @@ func TestFailureRates(t *testing.T) {
 
 // TestGenericCorrelatedRates pins the Section 6 identity λs = nλ(1+αr):
 // with r=400 and α=0.0025 the system failure rate doubles (experiment
-// index entry "Table 2" / Figure 8 parameters).
+// index entry "Table 2" / Figure 8 parameters), and with α=0 generic
+// correlation adds nothing.
 func TestGenericCorrelatedRates(t *testing.T) {
-	c := Default()
-	c.CorrelatedFactor = 400
-	c.GenericCorrelatedCoefficient = 0.0025
-	indep := c.ComputeFailureRate()
-	corr := c.GenericCorrelatedRate()
-	if math.Abs(corr-indep)/indep > 1e-12 {
-		t.Fatalf("correlated rate %v should equal independent rate %v (doubling)", corr, indep)
+	for _, tc := range []struct {
+		procs     int
+		mttfYears float64
+		alpha, r  float64
+		factor    float64 // λs/(nλ) = 1 + αr
+	}{
+		{Default().Processors, Default().MTTFPerNode / Years(1), 0.0025, 400, 2},
+		{32768 * 8, 3, 0.0025, 400, 2},
+		{100 * 8, 100, 0, 400, 1},
+	} {
+		c := Default()
+		c.Processors = tc.procs
+		c.MTTFPerNode = Years(tc.mttfYears)
+		c.CorrelatedFactor = tc.r
+		c.GenericCorrelatedCoefficient = tc.alpha
+		indep := c.ComputeFailureRate()
+		total := indep + c.GenericCorrelatedRate()
+		if want := tc.factor * indep; math.Abs(total-want)/want > 1e-12 {
+			t.Errorf("%d procs, α=%v, r=%v: λs = %v, want %v×nλ = %v", tc.procs, tc.alpha, tc.r, total, tc.factor, want)
+		}
 	}
 }
 

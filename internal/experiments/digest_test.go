@@ -69,7 +69,7 @@ func TestFigureDigestsPinned(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return ScenarioFigure(s, digestOpts)
+			return ScenarioDef(s).Run(digestOpts)
 		}
 		def, err := LookupAny(id)
 		if err != nil {

@@ -334,8 +334,3 @@ func ScenarioDef(s scenario.Scenario) Def {
 	}
 	return d
 }
-
-// ScenarioFigure runs ScenarioDef(s).
-func ScenarioFigure(s scenario.Scenario, opts runner.Options) (*Figure, error) {
-	return ScenarioDef(s).Run(opts)
-}

@@ -28,27 +28,8 @@ func New(times []float64) Log {
 	return Log{times: cp}
 }
 
-// FromInterArrivals builds a log from gaps between consecutive failures;
-// the first gap anchors the first failure instant relative to time zero.
-func FromInterArrivals(gaps []float64) Log {
-	times := make([]float64, 0, len(gaps))
-	t := 0.0
-	for _, g := range gaps {
-		t += g
-		times = append(times, t)
-	}
-	return Log{times: times}
-}
-
 // Len returns the number of failures.
 func (l Log) Len() int { return len(l.times) }
-
-// Times returns a copy of the failure instants.
-func (l Log) Times() []float64 {
-	cp := make([]float64, len(l.times))
-	copy(cp, l.times)
-	return cp
-}
 
 // Span returns the time between the first and last failure.
 func (l Log) Span() float64 {

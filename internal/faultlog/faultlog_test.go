@@ -10,41 +10,31 @@ import (
 	"repro/internal/rng"
 )
 
+// fromGaps builds a log whose first failure lands gaps[0] after time zero
+// and each later one the next gap after the previous.
+func fromGaps(gaps []float64) Log {
+	times := make([]float64, len(gaps))
+	t := 0.0
+	for i, g := range gaps {
+		t += g
+		times[i] = t
+	}
+	return New(times)
+}
+
 func TestConstructionAndAccessors(t *testing.T) {
-	l := New([]float64{3, 1, 2})
+	in := []float64{3, 1, 2}
+	l := New(in)
 	if l.Len() != 3 {
 		t.Fatalf("len = %d", l.Len())
 	}
-	ts := l.Times()
-	if ts[0] != 1 || ts[1] != 2 || ts[2] != 3 {
-		t.Fatalf("not sorted: %v", ts)
-	}
-	ts[0] = 99 // must not alias internal state
-	if l.Times()[0] != 1 {
-		t.Fatal("Times aliases internal slice")
-	}
+	in[0] = 99 // the log must not alias its input
 	if l.Span() != 2 {
 		t.Fatalf("span = %v", l.Span())
 	}
 	gaps := l.InterArrivals()
 	if len(gaps) != 2 || gaps[0] != 1 || gaps[1] != 1 {
 		t.Fatalf("gaps = %v", gaps)
-	}
-}
-
-func TestFromInterArrivalsRoundTrip(t *testing.T) {
-	gaps := []float64{0.5, 1.5, 2.0}
-	l := FromInterArrivals(gaps)
-	// The first gap anchors the first failure instant; the round trip
-	// recovers the remaining gaps.
-	back := l.InterArrivals()
-	if len(back) != len(gaps)-1 {
-		t.Fatalf("round trip length %d, want %d", len(back), len(gaps)-1)
-	}
-	for i, want := range gaps[1:] {
-		if math.Abs(back[i]-want) > 1e-12 {
-			t.Fatalf("round trip: %v vs %v", back, gaps[1:])
-		}
 	}
 }
 
@@ -74,7 +64,7 @@ func TestMLERecoversPoissonRate(t *testing.T) {
 	for i := range gaps {
 		gaps[i] = d.Sample(src)
 	}
-	l := FromInterArrivals(gaps)
+	l := fromGaps(gaps)
 	mean, err := l.MLEExponentialMean()
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +241,7 @@ func TestMLEProperty(t *testing.T) {
 			gaps[i] = src.Float64()*10 + 0.001
 			sum += gaps[i]
 		}
-		l := FromInterArrivals(gaps)
+		l := fromGaps(gaps)
 		mean, err := l.MLEExponentialMean()
 		// The first gap (time zero to the first failure) is not an
 		// inter-arrival of the log, so the MLE covers gaps[1:].

@@ -35,9 +35,6 @@ func (b Breakdown) Sum() float64 {
 	return b.Execution + b.Quiesce + b.Dump + b.FSWait + b.Recovery + b.Reboot
 }
 
-// Overhead returns everything that is not application execution.
-func (b Breakdown) Overhead() float64 { return b.Sum() - b.Execution }
-
 // stateRewards are the per-state occupancy rate rewards behind Breakdown.
 type stateRewards struct {
 	execution *san.RateReward

@@ -128,13 +128,6 @@ func TestBreakdownZeroWindow(t *testing.T) {
 	}
 }
 
-func TestBreakdownOverhead(t *testing.T) {
-	b := Breakdown{Execution: 0.7, Quiesce: 0.1, Dump: 0.1, Recovery: 0.1}
-	if math.Abs(b.Overhead()-0.3) > 1e-12 {
-		t.Fatalf("overhead = %v", b.Overhead())
-	}
-}
-
 // TestLostWorkStatistics: with a 30-minute interval, failures land
 // uniformly within the cycle, so the mean rollback discards roughly a
 // quarter hour of work (plus protocol-phase losses), and no single

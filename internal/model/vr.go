@@ -74,9 +74,6 @@ func (in *Instance) SetVR(reflected, crn bool) {
 	}
 }
 
-// VRReflected reports whether the instance runs the reflected leg.
-func (in *Instance) VRReflected() bool { return in.vrReflected }
-
 // DrawCounts returns the number of variates each purpose consumed in the
 // current trajectory (nil unless CRN routing is on). Index-aligned with
 // PurposeNames.

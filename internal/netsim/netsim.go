@@ -4,10 +4,7 @@
 // by the message-level protocol simulator in internal/protocol.
 package netsim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tree is a complete k-ary broadcast/reduction tree over Nodes leaves-and-
 // internal nodes (node 0 is the root/master).
@@ -82,27 +79,4 @@ func (t Tree) ReduceLatency(i int) float64 { return t.BroadcastLatency(i) }
 // the paper's "broadcast overhead" for the whole machine.
 func (t Tree) FullBroadcastLatency() float64 {
 	return float64(t.MaxDepth()) * t.HopLatency
-}
-
-// DepthHistogram returns how many nodes sit at each depth (index = depth),
-// useful for latency modeling and tests.
-func (t Tree) DepthHistogram() []int {
-	h := make([]int, t.MaxDepth()+1)
-	// Level sizes are k^d, truncated at Nodes.
-	remaining := t.Nodes
-	level := 1
-	for d := 0; d < len(h) && remaining > 0; d++ {
-		n := level
-		if n > remaining {
-			n = remaining
-		}
-		h[d] = n
-		remaining -= n
-		if level > math.MaxInt32/t.Fanout {
-			level = math.MaxInt32
-		} else {
-			level *= t.Fanout
-		}
-	}
-	return h
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -56,32 +57,30 @@ func TestBroadcastLatencyScalesWithDepth(t *testing.T) {
 	}
 }
 
+// depthHistogram counts the tree's nodes at each depth (index = depth).
+func depthHistogram(tr Tree) []int {
+	h := make([]int, tr.MaxDepth()+1)
+	for i := range tr.Nodes {
+		h[tr.Depth(i)]++
+	}
+	return h
+}
+
 func TestDepthHistogram(t *testing.T) {
-	tr, _ := NewTree(15, 2, 1)
-	h := tr.DepthHistogram()
-	want := []int{1, 2, 4, 8}
-	if len(h) != len(want) {
-		t.Fatalf("histogram = %v, want %v", h, want)
-	}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Fatalf("histogram = %v, want %v", h, want)
+	// Full levels hold k^d nodes; the last one is truncated at Nodes.
+	for _, tc := range []struct {
+		nodes int
+		want  []int
+	}{{15, []int{1, 2, 4, 8}}, {10, []int{1, 2, 4, 3}}} {
+		tr, _ := NewTree(tc.nodes, 2, 1)
+		if h := depthHistogram(tr); !slices.Equal(h, tc.want) {
+			t.Fatalf("%d nodes: histogram = %v, want %v", tc.nodes, h, tc.want)
 		}
-	}
-	// Truncated tree.
-	tr2, _ := NewTree(10, 2, 1)
-	h2 := tr2.DepthHistogram()
-	total := 0
-	for _, c := range h2 {
-		total += c
-	}
-	if total != 10 {
-		t.Fatalf("histogram sums to %d, want 10", total)
 	}
 }
 
-// TestTreeProperties: parent is always shallower, histogram always sums to
-// node count, for arbitrary trees.
+// TestTreeProperties: parent is always shallower, every level but the
+// deepest is full, and the deepest is MaxDepth, for arbitrary trees.
 func TestTreeProperties(t *testing.T) {
 	f := func(nRaw uint16, kRaw uint8) bool {
 		n := int(nRaw)%5000 + 1
@@ -96,11 +95,13 @@ func TestTreeProperties(t *testing.T) {
 				return false
 			}
 		}
-		sum := 0
-		for _, c := range tr.DepthHistogram() {
-			sum += c
+		h := depthHistogram(tr)
+		for d, width := 0, 1; d < len(h)-1; d, width = d+1, width*k {
+			if h[d] != width {
+				return false
+			}
 		}
-		return sum == n
+		return h[len(h)-1] > 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
-// Package protocol is a message-level discrete-event simulation of the
-// six-step coordinated checkpointing protocol of Section 3.2: the master
-// broadcasts 'quiesce' over the interconnect tree, every compute node
-// finishes any non-preemptive foreground I/O, quiesces after its own
-// exponential quiesce time, and replies 'ready' up the reduction tree; the
-// master then broadcasts 'checkpoint', the nodes dump state to their shared
-// I/O nodes, and 'done'/'proceed' complete the round.
+// Package protocol is a message-level simulation of the six-step
+// coordinated checkpointing protocol of Section 3.2: the master broadcasts
+// 'quiesce' over the interconnect tree, every compute node finishes any
+// non-preemptive foreground I/O, quiesces after its own exponential
+// quiesce time, and replies 'ready' up the reduction tree; the master then
+// broadcasts 'checkpoint', the nodes dump state to their shared I/O nodes,
+// and 'done'/'proceed' complete the round.
 //
 // The paper's composed SAN abstracts all of this into a single max-of-n
 // coordination activity (Section 5); this simulator exists to validate that
@@ -13,10 +13,11 @@
 package protocol
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
-	"repro/internal/des"
 	"repro/internal/netsim"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -67,36 +68,34 @@ func New(cfg cluster.Config, fanout int, hopLatency float64, seed uint64) (*Simu
 // Round simulates one checkpoint round starting at a random point of every
 // node's application cycle.
 func (s *Simulator) Round() RoundResult {
-	eng := des.New()
 	n := s.cfg.Nodes()
 	quiesce := rng.Exponential{MeanValue: s.cfg.MTTQ}
 
-	var (
-		readyAt = 0.0
-		slowest = 0
-	)
-
-	for i := 0; i < n; i++ {
-		i := i
-		recv := s.tree.BroadcastLatency(i)
-		// Each node sits at an independent uniform point of its
-		// compute/IO cycle; a node in foreground I/O must finish it
-		// before quiescing (Section 3.3).
+	// Each node sits at an independent uniform point of its compute/IO
+	// cycle; a node in foreground I/O must finish it before quiescing
+	// (Section 3.3), so it starts quiescing once the broadcast has reached
+	// it and its I/O is done.
+	start := make([]float64, n)
+	order := make([]int, n)
+	for i := range n {
 		ioWait := 0.0
 		if phase, rem := s.cyc.PhaseAt(s.src.Float64() * s.cyc.Period); phase == workload.IO {
 			ioWait = rem
 		}
-		eng.Schedule(recv+ioWait, "quiesce", func(e *des.Engine) {
-			d := quiesce.Sample(s.src)
-			e.ScheduleAfter(d+s.tree.ReduceLatency(i), "ready", func(e *des.Engine) {
-				if e.Now() > readyAt {
-					readyAt = e.Now()
-					slowest = i
-				}
-			})
-		})
+		start[i] = s.tree.BroadcastLatency(i) + ioWait
+		order[i] = i
 	}
-	eng.Run()
+	// Nodes quiesce, and draw their quiesce times, in start order with
+	// ties by index, which is an event queue's (time, sequence) firing
+	// order. The last 'ready' to reach the master ends coordination; of
+	// equal arrivals the one sent first wins.
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(start[a], start[b]) })
+	readyAt, slowest := 0.0, 0
+	for _, i := range order {
+		if t := start[i] + (quiesce.Sample(s.src) + s.tree.ReduceLatency(i)); t > readyAt {
+			readyAt, slowest = t, i
+		}
+	}
 
 	res := RoundResult{CoordinationTime: readyAt, SlowestNode: slowest}
 	if s.cfg.Timeout > 0 && readyAt > s.cfg.Timeout {

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/des"
 	"repro/internal/rng"
 )
 
@@ -151,38 +150,36 @@ func TestInfiniteFiringRateIntegrals(t *testing.T) {
 	}
 }
 
-// TestCalendarMatchesEngine drives random schedule, cancel, fire and reset
-// sequences through the calendar, through des.Engine, the pooled heap the
-// executor used to run on, and through a brute-force reference: a plain
-// slice of pending firings, scanned in full for the lowest (due, seq) at
-// every fire. The calendar must match the engine's pop order, clock,
-// counters and pool numbers after every operation, and the reference's
-// pop order, clock and pending count. The delays repeat often enough to
-// force ties, and +Inf delays drive the clock to +Inf, where every later
-// firing ties.
-func TestCalendarMatchesEngine(t *testing.T) {
+// TestCalendarMatchesReferenceScan drives random schedule, cancel, fire
+// and reset sequences through the calendar and through a brute-force
+// reference: a plain slice of pending firings, scanned in full for the
+// lowest (due, seq) at every fire, with the event pool of a pooled heap
+// modelled as a count of events ever allocated (a reset keeps them, a
+// schedule reuses a free one when there is one). The calendar must match
+// the reference's pop order, clock, pending count, counters and pool
+// numbers after every operation. The delays repeat often enough to force
+// ties, and +Inf delays drive the clock to +Inf, where every later firing
+// ties.
+func TestCalendarMatchesReferenceScan(t *testing.T) {
 	const slots = 8
 	delays := []float64{0, 0.5, 1, 1, 2, math.Inf(1)}
 	for seed := uint64(1); seed <= 25; seed++ {
 		src := rng.New(seed)
 		pick := func(n int) int { return int(src.Uint64() % uint64(n)) }
 		cal := newCalendar(slots)
-		eng := des.New()
-		handles := make([]des.Handle, slots)
-		handlers := make([]des.Handler, slots)
-		popped := -1
-		for i := range handlers {
-			i := i
-			handlers[i] = func(*des.Engine) { popped = i }
-		}
 		type firing struct {
 			slot int
 			due  float64
 			seq  uint64
 		}
-		var ref []firing
-		var refNow float64
-		var refSeq uint64
+		var (
+			ref                         []firing
+			refNow                      float64
+			refSeq                      uint64
+			fired, scheduled, cancelled uint64
+			hits, misses                uint64
+			allocated                   int
+		)
 		refRemove := func(k int) { ref = append(ref[:k], ref[k+1:]...) }
 		for op := 0; op < 3000; op++ {
 			var what string
@@ -195,29 +192,31 @@ func TestCalendarMatchesEngine(t *testing.T) {
 				d := delays[pick(len(delays))]
 				what = fmt.Sprintf("schedule %d after %v", i, d)
 				cal.schedule(i, cal.now+d)
-				handles[i] = eng.ScheduleAfter(d, "slot", handlers[i])
+				if allocated > len(ref) {
+					hits++
+				} else {
+					misses++
+					allocated++
+				}
 				ref = append(ref, firing{i, refNow + d, refSeq})
 				refSeq++
+				scheduled++
 			case u < 65:
 				i := pick(slots)
 				what = fmt.Sprintf("cancel %d", i)
 				cal.cancel(i)
-				eng.Cancel(handles[i])
 				for k, f := range ref {
 					if f.slot == i {
 						refRemove(k)
+						cancelled++
 						break
 					}
 				}
 			case u < 98:
 				what = "fire"
-				popped = -1
 				i := cal.next()
 				if i >= 0 {
 					cal.pop(i)
-				}
-				if ok := eng.Step(); ok != (i >= 0) || popped != i {
-					t.Fatalf("seed %d op %d: calendar fired slot %d, engine %d (stepped %v)", seed, op, i, popped, ok)
 				}
 				best := -1
 				for k, f := range ref {
@@ -229,6 +228,7 @@ func TestCalendarMatchesEngine(t *testing.T) {
 				if best >= 0 {
 					want, refNow = ref[best].slot, ref[best].due
 					refRemove(best)
+					fired++
 				}
 				if i != want {
 					t.Fatalf("seed %d op %d: calendar fired slot %d, reference scan %d", seed, op, i, want)
@@ -236,20 +236,15 @@ func TestCalendarMatchesEngine(t *testing.T) {
 			default:
 				what = "reset"
 				cal.reset()
-				eng.Reset()
-				ref, refNow = ref[:0], 0
+				ref, refNow, refSeq = ref[:0], 0, 0
+				fired, scheduled, cancelled, hits, misses = 0, 0, 0, 0, 0
 			}
-			hits, misses, size := cal.poolStats()
-			got := []any{cal.now, cal.pending(), cal.fired, cal.scheduled, cal.cancelled, hits, misses, size}
-			want := []any{eng.Now(), eng.Pending(), eng.Fired(), eng.Scheduled(), eng.Cancelled(),
-				eng.PoolHits(), eng.PoolMisses(), eng.PoolSize()}
+			calHits, calMisses, size := cal.poolStats()
+			got := []any{cal.now, cal.pending(), cal.fired, cal.scheduled, cal.cancelled, calHits, calMisses, size}
+			want := []any{refNow, len(ref), fired, scheduled, cancelled, hits, misses, allocated - len(ref)}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d op %d (%s): calendar now/pending/fired/scheduled/cancelled/hits/misses/size %v, engine %v",
+				t.Fatalf("seed %d op %d (%s): calendar now/pending/fired/scheduled/cancelled/hits/misses/size %v, reference %v",
 					seed, op, what, got, want)
-			}
-			if cal.now != refNow || cal.pending() != len(ref) {
-				t.Fatalf("seed %d op %d (%s): calendar now/pending %v/%d, reference %v/%d",
-					seed, op, what, cal.now, cal.pending(), refNow, len(ref))
 			}
 		}
 	}

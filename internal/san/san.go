@@ -147,12 +147,6 @@ type Activity struct {
 // the activity of index i. Observers keep per-activity tables by it.
 func (a *Activity) Index() int { return a.index }
 
-// Enabled evaluates the input gate's condition.
-func (a *Activity) Enabled(m *Marking) bool { return a.Input.Cond(m) }
-
-// Fire applies the output gate's effect.
-func (a *Activity) Fire(m *Marking) { a.Output.Apply(m) }
-
 // Model is an immutable (after Validate) SAN structure: places plus
 // activities. Build one with NewModel, then hand it to NewSimulator.
 type Model struct {
@@ -223,35 +217,6 @@ func (mod *Model) Places() []*Place {
 func (mod *Model) Activities() []*Activity {
 	out := make([]*Activity, len(mod.activities))
 	copy(out, mod.activities)
-	return out
-}
-
-// DependentsOf returns the activities whose declared input read-sets
-// include p, in creation order — the activities whose enabling can change
-// when p's token count does (undeclared activities excluded; see
-// UndeclaredInputs). For structural tests and tooling.
-func (mod *Model) DependentsOf(p *Place) []*Activity {
-	var out []*Activity
-	for _, a := range mod.activities {
-		for _, r := range a.Input.Reads {
-			if r == p {
-				out = append(out, a)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// UndeclaredInputs returns the activities with no declared input read-set,
-// which the simulator conservatively re-evaluates after every firing.
-func (mod *Model) UndeclaredInputs() []*Activity {
-	var out []*Activity
-	for _, a := range mod.activities {
-		if len(a.Input.Reads) == 0 {
-			out = append(out, a)
-		}
-	}
 	return out
 }
 

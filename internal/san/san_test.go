@@ -141,7 +141,7 @@ func TestValidateDedupesReactivateOn(t *testing.T) {
 }
 
 // TestDependencyIndex checks the declarative read-sets feed the
-// place→activity introspection helpers.
+// place→activity dependency index Validate builds.
 func TestDependencyIndex(t *testing.T) {
 	m := NewModel("deps")
 	a := m.Place("a", 1)
@@ -160,14 +160,16 @@ func TestDependencyIndex(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if deps := m.DependentsOf(a); len(deps) != 1 || deps[0] != ab {
-		t.Fatalf("DependentsOf(a) = %v", deps)
+	// a's row holds ab; b's is empty, because opaque declares no reads and
+	// is rescanned after every firing instead.
+	if got := m.deps.enableTimed[a.index]; got != 1<<ab.index {
+		t.Fatalf("timed dependents of a = %b, want ab only", got)
 	}
-	if deps := m.DependentsOf(b); len(deps) != 0 {
-		t.Fatalf("DependentsOf(b) = %v, want none (opaque is undeclared)", deps)
+	if got := m.deps.enableTimed[b.index]; got != 0 {
+		t.Fatalf("timed dependents of b = %b, want none (opaque is undeclared)", got)
 	}
-	if und := m.UndeclaredInputs(); len(und) != 1 || und[0] != opaque {
-		t.Fatalf("UndeclaredInputs() = %v", und)
+	if got := m.deps.scanTimed; got != 1<<opaque.index {
+		t.Fatalf("undeclared timed activities = %b, want opaque only", got)
 	}
 }
 

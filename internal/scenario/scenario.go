@@ -69,16 +69,6 @@ func (s Scenario) ClusterConfig() (cluster.Config, error) {
 	return c, nil
 }
 
-// HasTag reports whether the scenario carries the tag.
-func (s Scenario) HasTag(tag string) bool {
-	for _, t := range s.Tags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
-}
-
 var nameRE = regexp.MustCompile(`^[a-z0-9][a-z0-9-]*$`)
 
 // validate checks the scenario's metadata and that its config converts.

@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestBuiltinCatalog(t *testing.T) {
 			t.Errorf("legacy scenario missing: %v", err)
 			continue
 		}
-		if !s.HasTag("legacy") {
+		if !slices.Contains(s.Tags, "legacy") {
 			t.Errorf("scenario %q is not tagged legacy", want)
 		}
 	}

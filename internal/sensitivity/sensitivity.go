@@ -15,6 +15,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/runner"
 	"repro/internal/stats"
+	"repro/internal/vr"
 )
 
 // Parameter identifies a perturbable model parameter.
@@ -92,21 +93,27 @@ func (a Analysis) MostSensitive() Parameter {
 }
 
 // Analyze perturbs each parameter by the given relative factor (> 0,
-// ≠ 1, e.g. 1.2) and estimates the response with paired replications. A
-// journal is rejected: the parameters' comparisons would write into it
-// concurrently, in scheduling order.
+// ≠ 1, e.g. 1.2) and estimates the response with paired replications: the
+// base configuration is estimated once, each perturbed one on the same
+// seeds, and each effect folds the per-replication differences
+// (perturbed − base). A journal is rejected: the parameters' estimates
+// would write into it concurrently, in scheduling order. So is variance
+// reduction: the pairing is with the base, not within a configuration.
 func Analyze(cfg cluster.Config, params []Parameter, factor float64, opts runner.Options) (Analysis, error) {
 	if factor <= 0 || factor == 1 {
 		return Analysis{}, fmt.Errorf("sensitivity: factor %v must be positive and ≠ 1", factor)
 	}
 	if opts.Journal != nil {
-		return Analysis{}, fmt.Errorf("sensitivity: Options.Journal is not supported (comparisons run concurrently)")
+		return Analysis{}, fmt.Errorf("sensitivity: Options.Journal is not supported (estimates run concurrently)")
+	}
+	if opts.VarianceReduction != vr.ModeNone {
+		return Analysis{}, fmt.Errorf("sensitivity: %s variance reduction is not supported (each effect pairs a perturbed estimate with the base on common random numbers)", opts.VarianceReduction)
 	}
 	if len(params) == 0 {
 		params = AllParameters()
 	}
 	// The base estimate can use the full worker budget (it runs alone);
-	// the per-parameter comparisons then fan out one job per parameter.
+	// the perturbed estimates then fan out one job per parameter.
 	base, err := runner.Estimate(cfg, opts)
 	if err != nil {
 		return Analysis{}, err
@@ -126,13 +133,17 @@ func Analyze(cfg cluster.Config, params []Parameter, factor float64, opts runner
 			o := opts
 			o.Workers = 1 // the parameter fan-out is already parallel
 			o.Progress = nil
-			comp, err := runner.Compare(cfg, perturbed, o)
+			res, err := runner.Estimate(perturbed, o)
 			if err != nil {
 				return Effect{}, err
 			}
-			eff := Effect{Parameter: p, Factor: factor, FractionDiff: comp.FractionDiff}
+			diff := stats.NewFold(base.UsefulWorkFraction.Level, false)
+			for r, m := range res.PerReplication {
+				diff.Add(m.UsefulWorkFraction - base.PerReplication[r].UsefulWorkFraction)
+			}
+			eff := Effect{Parameter: p, Factor: factor, FractionDiff: diff.CI()}
 			if f := base.UsefulWorkFraction.Mean; f > 0 {
-				relF := comp.FractionDiff.Mean / f
+				relF := eff.FractionDiff.Mean / f
 				relP := factor - 1
 				eff.Elasticity = relF / relP
 			}

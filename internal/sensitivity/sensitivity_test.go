@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/runner"
+	"repro/internal/vr"
 )
 
 func quickOpts() runner.Options {
@@ -72,10 +73,15 @@ func TestAnalyzeValidation(t *testing.T) {
 	if _, err := Analyze(bad, nil, 1.2, quickOpts()); err == nil {
 		t.Error("invalid base config accepted")
 	}
+	anti := quickOpts()
+	anti.VarianceReduction = vr.ModeAntithetic
+	if _, err := Analyze(cluster.Default(), nil, 1.2, anti); err == nil {
+		t.Error("antithetic variance reduction accepted")
+	}
 }
 
-// The per-parameter comparisons run concurrently and each journals its
-// legs, so a shared journal would interleave them in scheduling order:
+// The per-parameter estimates run concurrently and each would journal its
+// replications, so a shared journal would interleave them in scheduling order:
 // Analyze must refuse one before simulating anything.
 func TestAnalyzeRejectsJournal(t *testing.T) {
 	var buf bytes.Buffer

@@ -37,9 +37,6 @@ func (p *PairedAccumulator) AddPair(a, b float64) {
 // Pairs returns the number of pairs incorporated.
 func (p *PairedAccumulator) Pairs() int { return p.pairs.N() }
 
-// Legs returns the number of individual replications (2 × Pairs).
-func (p *PairedAccumulator) Legs() int { return p.legs.N() }
-
 // Mean returns the estimate: the mean of the pair means, which equals the
 // mean over all legs.
 func (p *PairedAccumulator) Mean() float64 { return p.pairs.Mean() }

@@ -20,8 +20,8 @@ func TestPairedAccumulatorMeanMatchesLegs(t *testing.T) {
 	if math.Abs(p.Mean()-flat.Mean()) > 1e-12 {
 		t.Fatalf("paired mean %v != flat mean %v", p.Mean(), flat.Mean())
 	}
-	if p.Pairs() != 500 || p.Legs() != 1000 {
-		t.Fatalf("counts pairs=%d legs=%d, want 500/1000", p.Pairs(), p.Legs())
+	if p.Pairs() != 500 || p.legs.N() != 1000 {
+		t.Fatalf("counts pairs=%d legs=%d, want 500/1000", p.Pairs(), p.legs.N())
 	}
 	if math.Abs(p.LegVariance()-flat.Variance()) > 1e-12 {
 		t.Fatalf("leg variance %v != flat variance %v", p.LegVariance(), flat.Variance())
@@ -114,8 +114,8 @@ func TestPairedConvergenceIgnoresTrailingLeg(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("trailing unpaired leg changed the trajectory: %d vs %d snapshots", len(got), len(want))
 	}
-	if f.N() != 2 || f.Paired().Legs() != 4 {
-		t.Fatalf("fold holds %d pairs over %d legs, want 2 over 4", f.N(), f.Paired().Legs())
+	if f.N() != 2 || f.Paired().legs.N() != 4 {
+		t.Fatalf("fold holds %d pairs over %d legs, want 2 over 4", f.N(), f.Paired().legs.N())
 	}
 	if NewFold(0.95, false).Paired() != nil {
 		t.Fatal("plain fold reports pair statistics")

@@ -254,37 +254,6 @@ func TestBatchMeansQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	h.Add(10) // exactly High → overflow
-	if h.Total() != 13 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under/over = %d/%d", h.Under, h.Over)
-	}
-	for i := 0; i < 10; i++ {
-		if h.Counts[i] != 1 {
-			t.Fatalf("bin %d count = %d", i, h.Counts[i])
-		}
-		if math.Abs(h.Fraction(i)-1.0/13) > 1e-12 {
-			t.Fatalf("bin %d fraction = %v", i, h.Fraction(i))
-		}
-	}
-}
-
-func TestHistogramEmptyFraction(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	if h.Fraction(0) != 0 {
-		t.Fatal("empty histogram fraction should be 0")
-	}
-}
-
 func TestConvergenceSnapshot(t *testing.T) {
 	var a Accumulator
 	a.Add(1)

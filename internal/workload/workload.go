@@ -83,10 +83,3 @@ func (c Cycle) PhaseAt(t float64) (Phase, float64) {
 	}
 	return IO, c.Period - pos
 }
-
-// UsefulFractionUpperBound is the fraction of wall time the application can
-// spend making progress in a failure-free, checkpoint-free system: both
-// computation and application I/O count as useful work (Section 7 metric
-// definition), so this is 1.0 by construction. It exists to document the
-// normalisation used by the useful-work reward.
-func (c Cycle) UsefulFractionUpperBound() float64 { return 1.0 }

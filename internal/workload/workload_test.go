@@ -111,10 +111,3 @@ func TestPhaseAtAlwaysConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestUsefulFractionUpperBound(t *testing.T) {
-	c, _ := NewCycle(1, 0.9)
-	if c.UsefulFractionUpperBound() != 1.0 {
-		t.Fatal("useful fraction upper bound should be 1 (I/O counts as useful work)")
-	}
-}
