@@ -139,11 +139,13 @@ e2ebench-check:
 	cd e2ebench && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
 
 # Paired end-to-end comparison of revision REF against the working tree on
-# one e2ebench workload: REF is built from a git worktree under
-# .bench_build/, each side through its own e2ebench/run.sh; PAIRS pairs
-# alternate which side runs first, pair i runs seed SEED+i-1 on both
-# sides, and every end-to-end metric's per-side median, the reference's
-# quartiles and the median ratio are printed (scripts/e2ebench-pairs.sh).
+# one e2ebench workload, or on each in turn with WORKLOAD=all: REF is built
+# from a git worktree under .bench_build/ (or from REF itself when it is a
+# directory holding a checkout), each side through its own
+# e2ebench/run.sh; PAIRS pairs alternate which side runs first, pair i runs
+# seed SEED+i-1 on both sides, and every end-to-end metric's per-side
+# median, the reference's quartiles, the median ratio and the pairs won
+# are printed, one table per workload (scripts/e2ebench-pairs.sh).
 REF ?= HEAD
 WORKLOAD ?= compare-correlated
 PAIRS ?= 10

@@ -152,23 +152,19 @@ func (in *Instance) addComputeAndMaster() {
 	// extension — whatever the marking-dependent controller currently
 	// recommends (see intervalDelay).
 	in.mod.AddTimed(san.Activity{
-		Name:  "checkpoint_trigger",
-		Input: san.AllOf(pl.masterSleep, pl.sysUp),
-		Delay: in.intervalDelay,
-		Output: san.Out(func(m *san.Marking) {
-			m.Move(pl.masterSleep, pl.masterCheckpointing)
-		}),
+		Name:   "checkpoint_trigger",
+		Input:  san.AllOf(pl.masterSleep, pl.sysUp),
+		Delay:  in.intervalDelay,
+		Output: san.Shift(san.Tokens(pl.masterSleep, -1), san.Tokens(pl.masterCheckpointing, 1)),
 	})
 
 	// Compute nodes receive the 'quiesce' broadcast after the broadcast
 	// overhead and stop at a consistent state.
 	in.mod.AddTimed(san.Activity{
-		Name:  "recv_quiesce",
-		Input: san.AllOf(pl.masterCheckpointing, pl.execution, pl.sysUp),
-		Delay: det(cfg.BroadcastOverhead),
-		Output: san.Out(func(m *san.Marking) {
-			m.Move(pl.execution, pl.quiescing)
-		}),
+		Name:   "recv_quiesce",
+		Input:  san.AllOf(pl.masterCheckpointing, pl.execution, pl.sysUp),
+		Delay:  det(cfg.BroadcastOverhead),
+		Output: san.Shift(san.Tokens(pl.execution, -1), san.Tokens(pl.quiescing, 1)),
 	})
 
 	// The master's coordination timer. It is disarmed as soon as the

@@ -18,12 +18,10 @@ func (in *Instance) addAppWorkload() {
 		return
 	}
 	in.mod.AddTimed(san.Activity{
-		Name:  "app_compute_end",
-		Input: san.AllOf(pl.appCompute, pl.execution, pl.sysUp),
-		Delay: det(cfg.AppComputeTime()),
-		Output: san.Out(func(m *san.Marking) {
-			m.Move(pl.appCompute, pl.appIO)
-		}),
+		Name:   "app_compute_end",
+		Input:  san.AllOf(pl.appCompute, pl.execution, pl.sysUp),
+		Delay:  det(cfg.AppComputeTime()),
+		Output: san.Shift(san.Tokens(pl.appCompute, -1), san.Tokens(pl.appIO, 1)),
 	})
 	// Foreground I/O is non-preemptive: once started it runs to
 	// completion even while the nodes are quiescing for a checkpoint
@@ -33,12 +31,12 @@ func (in *Instance) addAppWorkload() {
 		Name:  "app_io_end",
 		Input: san.AllOf(pl.appIO, pl.sysUp),
 		Delay: det(cfg.AppIOForegroundTime()),
-		Output: san.Out(func(m *san.Marking) {
-			m.Move(pl.appIO, pl.appCompute)
-			// The transferred data now sits in the I/O nodes'
-			// buffers awaiting the background file-system write.
-			m.Add(pl.appDataPending, 1)
-		}),
+		// The transferred data then sits in the I/O nodes' buffers
+		// awaiting the background file-system write.
+		Output: san.Shift(
+			san.Tokens(pl.appIO, -1), san.Tokens(pl.appCompute, 1),
+			san.Tokens(pl.appDataPending, 1),
+		),
 	})
 }
 
@@ -75,18 +73,16 @@ func (in *Instance) addIONodes() {
 		Name:     "start_write_appdata",
 		Priority: 0,
 		Input:    san.AllOf(pl.ionodeIdle, pl.appDataPending, pl.ioUp),
-		Output: san.Out(func(m *san.Marking) {
-			m.Add(pl.appDataPending, -1)
-			m.Move(pl.ionodeIdle, pl.writingAppData)
-		}),
+		Output: san.Shift(
+			san.Tokens(pl.appDataPending, -1),
+			san.Tokens(pl.ionodeIdle, -1), san.Tokens(pl.writingAppData, 1),
+		),
 	})
 	in.mod.AddTimed(san.Activity{
-		Name:  "write_appdata",
-		Input: san.AllOf(pl.writingAppData, pl.ioUp),
-		Delay: det(cfg.AppIOBackgroundWriteTime()),
-		Output: san.Out(func(m *san.Marking) {
-			m.Move(pl.writingAppData, pl.ionodeIdle)
-		}),
+		Name:   "write_appdata",
+		Input:  san.AllOf(pl.writingAppData, pl.ioUp),
+		Delay:  det(cfg.AppIOBackgroundWriteTime()),
+		Output: san.Shift(san.Tokens(pl.writingAppData, -1), san.Tokens(pl.ionodeIdle, 1)),
 	})
 }
 

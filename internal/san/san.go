@@ -90,6 +90,8 @@ type InputGate struct {
 type OutputGate struct {
 	Reads []*Place
 	Apply Effect
+
+	shift []Delta // Shift's deltas, checked and masked by Validate; nil for other gates
 }
 
 // When builds an input gate from a predicate and the places it reads.
@@ -119,6 +121,31 @@ func Out(apply Effect, reads ...*Place) OutputGate {
 	return OutputGate{Reads: reads, Apply: apply}
 }
 
+// Delta is one fixed token change of a Shift gate; build it with Tokens.
+type Delta struct {
+	place *Place
+	n     int
+}
+
+// Tokens declares a change of n tokens in place p (n < 0 removes tokens).
+func Tokens(p *Place, n int) Delta { return Delta{place: p, n: n} }
+
+// Shift builds the most common output gate declaratively, the output-side
+// counterpart of AllOf: firing adds each delta's fixed, non-zero token
+// count to its place, in order, and reads nothing. A delta that would
+// leave a place negative panics, as Marking.Add does. Validate compiles
+// the deltas, so the incremental executor updates the counts and the
+// presence word directly and marks the activity's precomputed dependency
+// closure dirty instead of calling Apply; FullScan still calls Apply.
+func Shift(deltas ...Delta) OutputGate {
+	ds := append([]Delta(nil), deltas...)
+	return OutputGate{shift: ds, Apply: func(m *Marking) {
+		for _, d := range ds {
+			m.Add(d.place, d.n)
+		}
+	}}
+}
+
 // Activity is a SAN activity. Use Model.AddTimed / Model.AddInstant to
 // create activities; the zero value is not valid.
 type Activity struct {
@@ -141,6 +168,7 @@ type Activity struct {
 	compiled bool   // input gate built by AllOf: enabled ⇔ present&required == required
 	required uint64 // AllOf's places as a mask, built by Validate
 	react    uint64 // ReactivateOn places as a mask, built by Validate
+	shifted  uint64 // the places a Shift output gate changes, built by Validate; 0 for other gates
 }
 
 // Index is a's creation index within its model: Model.Activities()[i] is
@@ -254,9 +282,10 @@ func (mod *Model) ownsActivity(a *Activity) bool {
 // Validate checks structural well-formedness — at most MaxSize places and
 // MaxSize activities (ErrTooLarge otherwise); every activity has a name, an
 // enabling predicate, a firing effect, and (if timed) a delay function;
-// gate read-sets and reactivation places belong to this model; only timed
-// activities reactivate — and builds the place→activity dependency index
-// used by the incremental scheduler. Duplicate ReactivateOn entries
+// gate read-sets and reactivation places belong to this model; a Shift
+// gate's deltas are non-zero and name distinct places of this model; only
+// timed activities reactivate — and builds the place→activity dependency
+// index used by the incremental scheduler. Duplicate ReactivateOn entries
 // collapse into one mask bit. Validate is idempotent; NewSimulator calls
 // it.
 func (mod *Model) Validate() error {
@@ -312,6 +341,20 @@ func (mod *Model) Validate() error {
 			if !mod.owns(p) {
 				return fmt.Errorf("model %s: activity %q output gate reads foreign place %q", mod.Name, a.Name, p.Name)
 			}
+		}
+		a.shifted = 0
+		for _, d := range a.Output.shift {
+			switch {
+			case d.place == nil:
+				return fmt.Errorf("model %s: activity %q output gate shifts a nil place", mod.Name, a.Name)
+			case !mod.owns(d.place):
+				return fmt.Errorf("model %s: activity %q output gate shifts foreign place %q", mod.Name, a.Name, d.place.Name)
+			case d.n == 0:
+				return fmt.Errorf("model %s: activity %q output gate shifts place %q by zero tokens", mod.Name, a.Name, d.place.Name)
+			case a.shifted&d.place.Bit() != 0:
+				return fmt.Errorf("model %s: activity %q output gate shifts place %q twice", mod.Name, a.Name, d.place.Name)
+			}
+			a.shifted |= d.place.Bit()
 		}
 		a.react = 0
 		for _, p := range a.ReactivateOn {

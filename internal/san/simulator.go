@@ -11,27 +11,53 @@ import (
 )
 
 // Marking is the read/write view of the net's state passed to predicates
-// and effects. Besides the token counts it keeps four place masks (bit i
-// stands for the place of index i) that drive the incremental scheduler:
+// and effects. Besides the token counts it keeps the presence word — the
+// places holding at least one token (bit i stands for the place of index
+// i), which compiled AllOf gates test with one AND — and the words that
+// drive the incremental scheduler:
 //
-//   - present: the places holding at least one token, which compiled AllOf
-//     gates test with one AND;
-//   - dirty: places changed since the last settle — consumed once per
-//     settle (timed reconciliation, reactivation);
-//   - unabsorbed: places changed since the instantaneous-enabling cache
-//     last absorbed changes — consumed once per instantaneous pick;
-//   - changed: places changed by the current firing — consumed by the rate
-//     reward refresh.
+//   - dirty: places changed since the last settle — read by reactivation
+//     and cleared once per settle;
+//   - reconcile: the timed activities whose enabling or reactivation reads
+//     a place changed since the last settle — cleared with dirty;
+//   - unabsorbed: the instantaneous activities whose enabling reads a place
+//     changed since the instantaneous-enabling cache last absorbed changes
+//     — cleared once per instantaneous pick;
+//   - refresh: the rate rewards that read a place changed by the current
+//     firing — cleared by the rate reward refresh.
 //
-// Every change sets a bit in each of the last three, so clearing any of
-// them is one store.
+// Every change ORs the place's watchers (see watchers) into the last three,
+// so a settle reads its dependency closure as one word and clearing it is
+// one store.
 type Marking struct {
 	tokens     []int
 	present    uint64
 	dirty      uint64
+	reconcile  uint64
 	unabsorbed uint64
-	changed    uint64
-	model      *Model
+	refresh    uint64
+	watch      []watchers // place index → the place's watchers
+}
+
+// watchers are the dependents of one place, each set a mask: the timed
+// activities whose input gate or ReactivateOn list reads it, the
+// instantaneous activities whose input gate reads it, and the rate rewards
+// that read it. Each set includes the activities or rewards with undeclared
+// read-sets, which depend on every place.
+type watchers struct {
+	timed, inst, rates uint64
+}
+
+// closure returns the union of the watchers of the places in set.
+func (m *Marking) closure(set uint64) watchers {
+	var w watchers
+	for ; set != 0; set &= set - 1 {
+		pw := m.watch[bits.TrailingZeros64(set)]
+		w.timed |= pw.timed
+		w.inst |= pw.inst
+		w.rates |= pw.rates
+	}
+	return w
 }
 
 // Get returns the number of tokens in p.
@@ -61,9 +87,11 @@ func (m *Marking) Set(p *Place, n int) {
 	} else {
 		m.present &^= bit
 	}
+	w := &m.watch[p.index]
 	m.dirty |= bit
-	m.unabsorbed |= bit
-	m.changed |= bit
+	m.reconcile |= w.timed
+	m.unabsorbed |= w.inst
+	m.refresh |= w.rates
 }
 
 // Add adds delta tokens to p (delta may be negative).
@@ -155,18 +183,24 @@ type Simulator struct {
 	marking *Marking
 	instOn  uint64 // instantaneous activities: cached input-gate truth
 
-	rates     []*RateReward
-	rateWatch []uint64 // place index → rate rewards whose declared reads include it
-	rateScan  uint64   // rate rewards with undeclared read-sets
-	rateOn    uint64   // rate rewards whose current rate is non-zero (or NaN)
+	// shiftWatch holds, per activity with a Shift output gate (a bit of
+	// shifts), the union of its shifted places' watchers: the dependency
+	// closure one firing marks dirty.
+	shifts     uint64
+	shiftWatch []watchers
+
+	rates  []*RateReward
+	rateOn uint64 // rate rewards whose current rate is non-zero (or NaN)
 
 	impulses [][]*ImpulseHook // per-activity impulse hooks
+	impulsed uint64           // activities with at least one impulse hook
 
 	firedAct int // timed activity whose event fired this settle (-1: none)
 
 	trace      TraceFunc
 	hooks      []TraceFunc
 	invariants []Invariant
+	observed   bool      // an invariant, a trace or a firing hook is installed
 	stats      *simStats // nil when uninstrumented (the default)
 
 	// FullScan disables incremental reconciliation: every settle rescans
@@ -264,20 +298,37 @@ func (s *Simulator) PoolStats() (hits, misses uint64, size int) {
 }
 
 // NewSimulator validates the model (building its dependency index) and
-// prepares an executor with the given random source.
+// prepares an executor with the given random source: it turns the index
+// into per-place watchers and each Shift gate's dependency closure.
 func NewSimulator(model *Model, src rng.Source) (*Simulator, error) {
 	if err := model.Validate(); err != nil {
 		return nil, fmt.Errorf("san: %w", err)
 	}
+	deps := model.deps
+	n := len(model.places)
+	ws := make([]watchers, n+len(model.activities)) // one allocation for both tables
+	watch := ws[:n:n]
+	for i := range watch {
+		watch[i] = watchers{
+			timed: deps.enableTimed[i] | deps.react[i] | deps.scanTimed,
+			inst:  deps.enableInst[i] | deps.scanInst,
+		}
+	}
 	s := &Simulator{
 		model:           model,
 		src:             src,
-		rateWatch:       make([]uint64, len(model.places)),
+		shiftWatch:      ws[n:],
 		impulses:        make([][]*ImpulseHook, len(model.activities)),
 		firedAct:        -1,
 		MaxInstantChain: 10000,
 		cal:             newCalendar(len(model.activities)),
-		marking:         &Marking{tokens: make([]int, len(model.places)), model: model},
+		marking:         &Marking{tokens: make([]int, len(model.places)), watch: watch},
+	}
+	for _, a := range model.activities {
+		if a.shifted != 0 {
+			s.shifts |= 1 << a.index
+			s.shiftWatch[a.index] = s.marking.closure(a.shifted)
+		}
 	}
 	s.Reset()
 	return s, nil
@@ -307,8 +358,9 @@ func (s *Simulator) Reset() {
 	}
 	// Every place starts dirty so the first settle performs the initial
 	// reconciliation through the same incremental path as any other.
-	all := uint64(1)<<n - 1 // n ≤ MaxSize; the shift wraps to all ones at 64
-	m.dirty, m.unabsorbed = all, all
+	m.dirty = uint64(1)<<n - 1 // n ≤ MaxSize; the shift wraps to all ones at 64
+	all := m.closure(m.dirty)
+	m.reconcile, m.unabsorbed = all.timed, all.inst
 	s.firedAct = -1
 	for _, hooks := range s.impulses {
 		for _, h := range hooks {
@@ -343,7 +395,16 @@ func (s *Simulator) Fired() uint64 { return s.cal.fired }
 func (s *Simulator) Marking() *Marking { return s.marking }
 
 // SetTrace installs a firing observer (nil disables tracing).
-func (s *Simulator) SetTrace(f TraceFunc) { s.trace = f }
+func (s *Simulator) SetTrace(f TraceFunc) {
+	s.trace = f
+	s.noteObservers()
+}
+
+// noteObservers keeps the observed flag, which guards fire's observer
+// calls, in step with the installed observers.
+func (s *Simulator) noteObservers() {
+	s.observed = s.trace != nil || len(s.hooks) > 0 || len(s.invariants) > 0
+}
 
 // AddFiringHook registers an additional firing observer, called after the
 // SetTrace observer with the same (time, activity, post-firing marking)
@@ -358,6 +419,7 @@ func (s *Simulator) AddFiringHook(f TraceFunc) {
 		panic("san: nil firing hook")
 	}
 	s.hooks = append(s.hooks, f)
+	s.noteObservers()
 }
 
 // AddInvariant registers a marking predicate evaluated after every firing.
@@ -365,6 +427,7 @@ func (s *Simulator) AddFiringHook(f TraceFunc) {
 // modeling bugs in tests, not to report runtime errors.
 func (s *Simulator) AddInvariant(name string, check func(m *Marking) error) {
 	s.invariants = append(s.invariants, Invariant{Name: name, Check: check})
+	s.noteObservers()
 }
 
 // AddRateReward registers a rate reward evaluated over the marking process.
@@ -430,11 +493,23 @@ func (s *Simulator) addRate(r *RateReward, reads []*Place) *RateReward {
 	bit := uint64(1) << len(s.rates)
 	s.rates = append(s.rates, r)
 	s.refreshRate(len(s.rates)-1, s.cal.now)
-	if len(reads) == 0 {
-		s.rateScan |= bit
-	}
+	watch := s.marking.watch
+	var read uint64
 	for _, p := range reads {
-		s.rateWatch[p.index] |= bit
+		read |= p.Bit()
+		watch[p.index].rates |= bit
+	}
+	if len(reads) == 0 {
+		read = ^uint64(0)
+		for i := range watch {
+			watch[i].rates |= bit
+		}
+	}
+	for set := s.shifts; set != 0; set &= set - 1 {
+		ai := bits.TrailingZeros64(set)
+		if s.model.activities[ai].shifted&read != 0 {
+			s.shiftWatch[ai].rates |= bit
+		}
 	}
 	return r
 }
@@ -447,6 +522,7 @@ func (s *Simulator) AddImpulse(name string, act *Activity, impulse func(m *Marki
 	}
 	h := &ImpulseHook{Name: name, Activity: act, Impulse: impulse}
 	s.impulses[act.index] = append(s.impulses[act.index], h)
+	s.impulsed |= 1 << act.index
 	return h
 }
 
@@ -513,7 +589,8 @@ func (s *Simulator) settle() {
 		s.reconcileTimedDirty()
 	}
 	s.firedAct = -1
-	s.marking.dirty, s.marking.unabsorbed = 0, 0
+	m := s.marking
+	m.dirty, m.reconcile, m.unabsorbed = 0, 0, 0
 	if st := s.stats; st != nil {
 		st.settles.Inc()
 		if st.sampleTick&statsSampleMask == 0 {
@@ -556,17 +633,11 @@ func (s *Simulator) nextInstantFull() *Activity {
 
 // absorbInstantDirt re-evaluates the instantaneous activities whose
 // declared reads include a place changed since the last absorption, plus
-// the undeclared ones, updating the enabling cache.
+// the undeclared ones, updating the enabling cache. The marking collected
+// them as it changed.
 func (s *Simulator) absorbInstantDirt() {
 	m := s.marking
-	if m.unabsorbed == 0 {
-		return
-	}
-	deps := s.model.deps
-	set := deps.scanInst
-	for d := m.unabsorbed; d != 0; d &= d - 1 {
-		set |= deps.enableInst[bits.TrailingZeros64(d)]
-	}
+	set := m.unabsorbed
 	m.unabsorbed = 0
 	for ; set != 0; set &= set - 1 {
 		ai := bits.TrailingZeros64(set)
@@ -607,23 +678,15 @@ func (s *Simulator) reconcileTimedFull() {
 }
 
 // reconcileTimedDirty reconciles only the timed activities in the dirty
-// closure: watchers of changed places (enabling or reactivation),
-// undeclared activities, and the activity that fired. Walking the closure
-// mask from its lowest bit is creation order, which keeps delay-sampling
-// order — and therefore the random stream — identical to the full scan.
+// closure: watchers of changed places (enabling or reactivation), which
+// include the undeclared activities and which the marking collected as it
+// changed, and the activity that fired. Walking the closure mask from its
+// lowest bit is creation order, which keeps delay-sampling order — and
+// therefore the random stream — identical to the full scan.
 func (s *Simulator) reconcileTimedDirty() {
-	m := s.marking
-	deps := s.model.deps
-	var set uint64
+	set := s.marking.reconcile
 	if fa := s.firedAct; fa >= 0 {
-		set = 1 << fa
-	}
-	if m.dirty != 0 {
-		set |= deps.scanTimed
-		for d := m.dirty; d != 0; d &= d - 1 {
-			pi := bits.TrailingZeros64(d)
-			set |= deps.enableTimed[pi] | deps.react[pi]
-		}
+		set |= 1 << fa
 	}
 	if st := s.stats; st != nil && st.sampleTick&statsSampleMask == 0 {
 		st.closureInc.Observe(float64(bits.OnesCount64(set)))
@@ -661,7 +724,9 @@ func (s *Simulator) schedule(a *Activity) {
 	s.cal.schedule(a.index, s.cal.now+d)
 }
 
-// fire applies a's effect, accrues rewards and notifies the trace.
+// fire applies a's effect, accrues rewards and notifies the observers. The
+// incremental executor applies a compiled Shift gate itself; FullScan, and
+// every other gate, calls Apply.
 func (s *Simulator) fire(a *Activity) {
 	now := s.cal.now
 	if st := s.stats; st != nil {
@@ -672,17 +737,56 @@ func (s *Simulator) fire(a *Activity) {
 		}
 	}
 	s.accrueRates(now)
-	s.marking.changed = 0
-	a.Output.Apply(s.marking)
-	for _, h := range s.impulses[a.index] {
-		h.total += h.Impulse(s.marking)
-		h.count++
+	s.marking.refresh = 0
+	if a.shifted != 0 && !s.FullScan {
+		s.shift(a)
+	} else {
+		a.Output.Apply(s.marking)
+	}
+	if s.impulsed&(1<<a.index) != 0 {
+		for _, h := range s.impulses[a.index] {
+			h.total += h.Impulse(s.marking)
+			h.count++
+		}
 	}
 	if s.FullScan {
 		s.refreshRatesFull(now)
 	} else {
 		s.refreshRatesDirty(now)
 	}
+	if s.observed {
+		s.observe(now, a)
+	}
+}
+
+// shift applies a's Shift gate as Apply would: each delta in order, with
+// Set's panic on a negative count. Every delta changes its place, so the
+// dirty words gain exactly the places and the closure Set would add.
+func (s *Simulator) shift(a *Activity) {
+	m := s.marking
+	for _, d := range a.Output.shift {
+		i := d.place.index
+		n := m.tokens[i] + d.n
+		if n < 0 {
+			panic(fmt.Sprintf("san: place %q set to negative count %d", d.place.Name, n))
+		}
+		m.tokens[i] = n
+		if n > 0 {
+			m.present |= 1 << i
+		} else {
+			m.present &^= 1 << i
+		}
+	}
+	w := &s.shiftWatch[a.index]
+	m.dirty |= a.shifted
+	m.reconcile |= w.timed
+	m.unabsorbed |= w.inst
+	m.refresh |= w.rates
+}
+
+// observe checks the invariants and notifies the trace and the firing
+// hooks after a fired.
+func (s *Simulator) observe(now float64, a *Activity) {
 	for _, inv := range s.invariants {
 		if err := inv.Check(s.marking); err != nil {
 			panic(fmt.Sprintf("san: invariant %q violated after %s at t=%v: %v (marking: %s)",
@@ -746,18 +850,11 @@ func (s *Simulator) refreshRatesFull(t float64) {
 
 // refreshRatesDirty re-evaluates only the rates whose declared reads
 // include a place changed by this firing, plus the undeclared ones, each
-// once. A skipped rate would have re-evaluated to the same value, so the
-// accrued integrals stay bit-identical to the full scan.
+// once; the marking collected them as it changed. A skipped rate would
+// have re-evaluated to the same value, so the accrued integrals stay
+// bit-identical to the full scan.
 func (s *Simulator) refreshRatesDirty(t float64) {
-	m := s.marking
-	if m.changed == 0 {
-		return
-	}
-	set := s.rateScan
-	for d := m.changed; d != 0; d &= d - 1 {
-		set |= s.rateWatch[bits.TrailingZeros64(d)]
-	}
-	for ; set != 0; set &= set - 1 {
+	for set := s.marking.refresh; set != 0; set &= set - 1 {
 		s.refreshRate(bits.TrailingZeros64(set), t)
 	}
 }

@@ -149,20 +149,3 @@ func Summarize(events []Event) Summary {
 	}
 	return s
 }
-
-// InterArrivals extracts the gaps between consecutive firings of one
-// activity — e.g. the empirical failure inter-arrival distribution.
-func InterArrivals(events []Event, activity string) []float64 {
-	var gaps []float64
-	last := -1.0
-	for _, ev := range events {
-		if ev.Activity != activity {
-			continue
-		}
-		if last >= 0 {
-			gaps = append(gaps, ev.Time-last)
-		}
-		last = ev.Time
-	}
-	return gaps
-}

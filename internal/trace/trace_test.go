@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"math"
 	"strings"
 	"testing"
 )
@@ -141,25 +140,6 @@ func TestSummarize(t *testing.T) {
 	empty := Summarize(nil)
 	if len(empty.Counts) != 0 || empty.End != 0 {
 		t.Fatal("empty summary wrong")
-	}
-}
-
-func TestInterArrivals(t *testing.T) {
-	events := []Event{
-		{Time: 1, Activity: "fail"},
-		{Time: 2, Activity: "other"},
-		{Time: 4, Activity: "fail"},
-		{Time: 9, Activity: "fail"},
-	}
-	gaps := InterArrivals(events, "fail")
-	if len(gaps) != 2 || math.Abs(gaps[0]-3) > 1e-12 || math.Abs(gaps[1]-5) > 1e-12 {
-		t.Fatalf("gaps = %v", gaps)
-	}
-	if got := InterArrivals(events, "missing"); got != nil {
-		t.Fatalf("missing activity gaps = %v", got)
-	}
-	if got := InterArrivals(events[:1], "fail"); got != nil {
-		t.Fatalf("single occurrence gaps = %v", got)
 	}
 }
 

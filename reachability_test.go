@@ -73,19 +73,37 @@ type reachReport struct {
 	Tests map[string]bool
 }
 
-// reachDecl is one function or method: its key, the name references
-// match it by, and every identifier its body mentions.
+// reachDecl is one function or method: its key, the reference that
+// reaches it (its name for a method, its key for a package-level
+// function), and every reference its body makes.
 type reachDecl struct {
-	key, pkg, name string
-	refs           []string
+	key, pkg, ref string
+	refs          []string
 }
 
-// identsIn lists every identifier under n, selector names included.
-func identsIn(n ast.Node) []string {
+// refsIn lists the references under n. Every identifier, selector names
+// included, is a reference by name, which is how methods are matched. A
+// package-level function is matched by package as well: inside internal
+// package pkg a bare identifier F also refers to "pkg.F", and anywhere a
+// selector q.F whose q names an internal package (imports maps the
+// file's import names to paths under internal/) refers to "path.F" only.
+func refsIn(n ast.Node, pkg string, imports map[string]string) []string {
 	var out []string
 	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			out = append(out, id.Name)
+		switch x := n.(type) {
+		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+				out = append(out, imports[id.Name]+"."+x.Sel.Name)
+				return false
+			}
+			out = append(out, refsIn(x.X, pkg, imports)...)
+			out = append(out, x.Sel.Name)
+			return false
+		case *ast.Ident:
+			out = append(out, x.Name)
+			if pkg != "" {
+				out = append(out, pkg+"."+x.Name)
+			}
 		}
 		return true
 	})
@@ -116,11 +134,12 @@ func recvName(e ast.Expr) string {
 // (the root package, cmd/, examples/) and of any nested module's non-test
 // files (e2ebench/), the initializers of package-level var, const and type
 // declarations, init functions, and methods named for standard-library
-// interfaces. An internal function or method is reached when a reached
-// declaration mentions its name; the scan iterates to a fixpoint. Matching
-// is by name alone, so a collision can keep code alive but never flags it.
-// A package counts as imported only by a non-test file of this module
-// outside itself.
+// interfaces. An internal method is reached when a reached declaration
+// mentions its name, and an internal package-level function when one
+// refers to it by package and name (see refsIn); the scan iterates to a
+// fixpoint. Methods are matched by name alone, so a collision can keep a
+// method alive but never flags one. A package counts as imported only by a
+// non-test file of this module outside itself.
 func scanReach(root string, allow map[string]string) (reachReport, error) {
 	rep := reachReport{Tests: map[string]bool{}}
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
@@ -136,7 +155,7 @@ func scanReach(root string, allow map[string]string) (reachReport, error) {
 		packages = map[string]bool{} // internal packages, by path under internal/
 		imported = map[string]bool{}
 		decls    []reachDecl
-		names    = map[string]bool{} // names mentioned by reached code
+		names    = map[string]bool{} // references made by reached code (see refsIn)
 	)
 	mention := func(refs []string) {
 		for _, r := range refs {
@@ -183,26 +202,36 @@ func scanReach(root string, allow map[string]string) (reachReport, error) {
 		}
 		pkg, internal := strings.CutPrefix(rel, "internal/")
 		internal = internal && !foreign
+		self := "" // the package bare identifiers qualify to
 		if internal {
 			packages[pkg] = true
+			self = pkg
 		}
-		if !foreign {
-			for _, imp := range f.Imports {
-				p, _ := strconv.Unquote(imp.Path.Value)
-				if q, ok := strings.CutPrefix(p, internalPrefix); ok && !(internal && q == pkg) {
-					imported[q] = true
-				}
+		imports := map[string]string{} // import name → internal package path
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			q, ok := strings.CutPrefix(p, internalPrefix)
+			if !ok {
+				continue
 			}
+			if !foreign && !(internal && q == pkg) {
+				imported[q] = true
+			}
+			name := q[strings.LastIndex(q, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = q
 		}
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok {
-				mention(identsIn(decl))
+				mention(refsIn(decl, self, imports))
 				continue
 			}
 			var refs []string
 			if fn.Body != nil {
-				refs = identsIn(fn.Body)
+				refs = refsIn(fn.Body, self, imports)
 			}
 			name := fn.Name.Name
 			if !internal || name == "init" || (fn.Recv != nil && stdlibMethods[name]) {
@@ -210,10 +239,11 @@ func scanReach(root string, allow map[string]string) (reachReport, error) {
 				continue
 			}
 			key := pkg + "." + name
+			ref := key
 			if fn.Recv != nil {
-				key = pkg + "." + recvName(fn.Recv.List[0].Type) + "." + name
+				key, ref = pkg+"."+recvName(fn.Recv.List[0].Type)+"."+name, name
 			}
-			decls = append(decls, reachDecl{key: key, pkg: pkg, name: name, refs: refs})
+			decls = append(decls, reachDecl{key: key, pkg: pkg, ref: ref, refs: refs})
 		}
 		return nil
 	})
@@ -226,7 +256,7 @@ func scanReach(root string, allow map[string]string) (reachReport, error) {
 		for changed := true; changed; {
 			changed = false
 			for i, d := range decls {
-				if !reached[i] && names[d.name] {
+				if !reached[i] && names[d.ref] {
 					reached[i] = true
 					mention(d.refs)
 					changed = true
@@ -331,9 +361,10 @@ func TestEveryInternalDeclarationReached(t *testing.T) {
 
 // TestReachabilityGateBites keeps the gate from passing vacuously: on the
 // fixture module in testdata/reach it reports exactly the unreached C, the
-// D only C reaches and the stale entry, it refuses a reason that names no
-// owner, and it reports an unimported package once that package's entry is
-// gone.
+// D only C reaches, the E and F whose names only another package's reached
+// function and method share, and the stale entry; it refuses a reason that
+// names no owner, and it reports an unimported package once that package's
+// entry is gone.
 func TestReachabilityGateBites(t *testing.T) {
 	allow := map[string]string{
 		"orphan":   "kept to test the package rule",
@@ -344,7 +375,7 @@ func TestReachabilityGateBites(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := strings.Join(append(append(rep.Packages, rep.Decls...), rep.Stale...), " | ")
-	if want := "lib.C | lib.D | lib.Gone: no such package or declaration"; got != want {
+	if want := "lib.C | lib.D | lib.E | lib.F | lib.Gone: no such package or declaration"; got != want {
 		t.Errorf("scan reported %q, want %q", got, want)
 	}
 	tests := map[string]bool{"TestUsesIt": true}
@@ -364,7 +395,7 @@ func TestReachabilityGateBites(t *testing.T) {
 	if rep, err = scanReach(filepath.Join("testdata", "reach"), allow); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(append(rep.Packages, rep.Decls...), " | "); got != "orphan | lib.C | lib.D | orphan.Lost" {
+	if got := strings.Join(append(rep.Packages, rep.Decls...), " | "); got != "orphan | lib.C | lib.D | lib.E | lib.F | orphan.Lost" {
 		t.Errorf("without its entry, scan reported %q", got)
 	}
 }

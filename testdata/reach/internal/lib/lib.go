@@ -1,5 +1,6 @@
 // Package lib holds the fixture's declarations: A is reached from main, B
-// from A, C from nothing, D only from C, and String through fmt.
+// from A, C from nothing, D only from C, and String through fmt; E and F
+// are reached from nothing, though main reaches other's E and W.F.
 package lib
 
 func A() { B() }
@@ -9,6 +10,10 @@ func B() {}
 func C() { D() }
 
 func D() {}
+
+func E() {}
+
+func F() {}
 
 type T int
 
