@@ -36,14 +36,16 @@ bench:
 # The sentinel's benchmark set, declared once for bench-smoke, bench-record
 # and CI, and only code the simulator runs: the SAN executor's calendar at
 # the base model's depth, the instance-recycle benchmarks, the incremental
-# base-model trajectory (the san settle hot loop) and the span check's
-# window fold on a recycled error-propagation instance. -benchtime=1x was
+# base-model trajectory bare (the san firing body) and with telemetry
+# attached (the same body with its stats counted, as sweeps and compares
+# run it), and the span check's window fold on a recycled
+# error-propagation instance (the body with a firing hook). -benchtime=1x was
 # a measurement theater — a single iteration times mostly setup and
 # scheduler noise, so the archived ns/op could swing 10x between identical
 # commits; 100 iterations × 3 samples gives compare's median+MAD detector
 # something with an actual central tendency, while staying cheap enough
 # for every CI run.
-SENTINEL_BENCH = -run NONE -bench 'Calendar$$|RecycleVsRebuild|Trajectory/incremental$$|SpanWindow$$' \
+SENTINEL_BENCH = -run NONE -bench 'Calendar$$|RecycleVsRebuild|Trajectory/incremental$$|ObsOverhead/instrumented$$|SpanWindow$$' \
 	-benchtime=100x -count=3 -benchmem ./internal/san ./internal/model
 
 # Allocation-economy smoke: the sentinel set, archived as BENCH_5.json via
@@ -145,13 +147,15 @@ e2ebench-check:
 # e2ebench/run.sh; PAIRS pairs alternate which side runs first, pair i runs
 # seed SEED+i-1 on both sides, and every end-to-end metric's per-side
 # median, the reference's quartiles, the median ratio and the pairs won
-# are printed, one table per workload (scripts/e2ebench-pairs.sh).
+# are printed, one table per workload (scripts/e2ebench-pairs.sh). The
+# recipe execs the script so that stopping make stops it too, and the
+# script stops its in-flight run.
 REF ?= HEAD
 WORKLOAD ?= compare-correlated
 PAIRS ?= 10
 SEED ?= 1
 e2ebench-pairs:
-	bash scripts/e2ebench-pairs.sh "$(REF)" "$(WORKLOAD)" "$(PAIRS)" "$(SEED)"
+	exec bash scripts/e2ebench-pairs.sh "$(REF)" "$(WORKLOAD)" "$(PAIRS)" "$(SEED)"
 
 # Everything the GitHub Actions workflow runs (.github/workflows/ci.yml),
 # locally: the tier-1 suite, every example run once, the race tier, the

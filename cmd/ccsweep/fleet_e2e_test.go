@@ -32,8 +32,10 @@ func TestFleetTelemetryEndToEnd(t *testing.T) {
 	}
 	dir := t.TempDir()
 	runDir := filepath.Join(dir, "run")
+	// Each block must outlast the heartbeat wait before the kill (4
+	// intervals), so that the kill lands mid-block.
 	if err := run([]string{"-param", "procs", "-values", "65536,131072",
-		"-reps", "2", "-warmup", "100", "-measure", "20000", "-seed", "7",
+		"-reps", "2", "-warmup", "100", "-measure", "100000", "-seed", "7",
 		"-manifest", runDir, "-block-size", "1"}, os.Stdout); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +209,7 @@ func fleetWorkerProc(t *testing.T, runDir, name string, hb time.Duration) *exec.
 
 // killAfterHeartbeat waits for the worker to hold a lease, lets a few
 // heartbeat intervals elapse so the claim reaches the on-disk flight ring,
-// then SIGKILLs it.
+// then SIGKILLs it if it still holds a lease.
 func killAfterHeartbeat(t *testing.T, runDir, name string, cmd *exec.Cmd, hb time.Duration) {
 	t.Helper()
 	exited := make(chan error, 1)
@@ -222,6 +224,9 @@ func killAfterHeartbeat(t *testing.T, runDir, name string, cmd *exec.Cmd, hb tim
 		}
 		if leaseHeldBy(runDir, name) {
 			time.Sleep(4 * hb)
+			if !leaseHeldBy(runDir, name) {
+				continue // the block ended during the wait: kill during the next one
+			}
 			if err := cmd.Process.Signal(syscall.SIGKILL); err == nil {
 				t.Logf("killed %s mid-block", name)
 			}

@@ -127,6 +127,14 @@ type RateReward struct {
 	all, any  uint64
 }
 
+// indicated returns an indicator's rate given the presence word.
+func (r *RateReward) indicated(present uint64) float64 {
+	if present&r.all == r.all && (r.any == 0 || present&r.any != 0) {
+		return 1
+	}
+	return 0
+}
+
 // Integral returns the accumulated ∫rate dt so far.
 func (r *RateReward) Integral() float64 { return r.integral }
 
@@ -194,8 +202,6 @@ type Simulator struct {
 
 	impulses [][]*ImpulseHook // per-activity impulse hooks
 	impulsed uint64           // activities with at least one impulse hook
-
-	firedAct int // timed activity whose event fired this settle (-1: none)
 
 	trace      TraceFunc
 	hooks      []TraceFunc
@@ -319,7 +325,6 @@ func NewSimulator(model *Model, src rng.Source) (*Simulator, error) {
 		src:             src,
 		shiftWatch:      ws[n:],
 		impulses:        make([][]*ImpulseHook, len(model.activities)),
-		firedAct:        -1,
 		MaxInstantChain: 10000,
 		cal:             newCalendar(len(model.activities)),
 		marking:         &Marking{tokens: make([]int, len(model.places)), watch: watch},
@@ -361,13 +366,12 @@ func (s *Simulator) Reset() {
 	m.dirty = uint64(1)<<n - 1 // n ≤ MaxSize; the shift wraps to all ones at 64
 	all := m.closure(m.dirty)
 	m.reconcile, m.unabsorbed = all.timed, all.inst
-	s.firedAct = -1
 	for _, hooks := range s.impulses {
 		for _, h := range hooks {
 			h.total, h.count = 0, 0
 		}
 	}
-	s.settle()
+	s.fireTimed(-1)
 	for i, r := range s.rates {
 		r.integral = 0
 		s.refreshRate(i, 0)
@@ -551,44 +555,169 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
-// fireTimed fires timed activity i, the calendar's next slot, then
-// settles the net.
+// fireTimed fires timed activity i, the calendar's next slot, and settles
+// the net; i < 0 fires nothing and only settles, which is Reset's initial
+// settle. FullScan runs the reference executor: fire, then settle.
+//
+// The incremental executor runs the whole firing here, in one function,
+// because at a few tens of nanoseconds per firing the calls between its
+// steps were a large share of it:
+//
+//  1. pop the firing and accrue the rate rewards whose rate is on;
+//  2. apply the output gate (a Shift gate's deltas directly), run the
+//     impulse hooks, refresh the rate rewards the firing changed and notify
+//     the observers, as fire does;
+//  3. when an instantaneous activity may be enabled, absorb the changed
+//     instantaneous gates and fire the highest-priority enabled one (fire)
+//     until none is;
+//  4. reconcile the timed activities in the dirty closure — the watchers of
+//     every place the firing chain changed — plus the one that fired, whose
+//     schedule changed without any place needing to. Walking the closure
+//     from its lowest bit is creation order, which keeps the delay-sampling
+//     order, and so the random stream, identical to the full scan.
 func (s *Simulator) fireTimed(i int) {
-	s.cal.pop(i)
-	s.firedAct = i
-	s.fire(s.model.activities[i])
-	s.settle()
+	if s.FullScan {
+		if i >= 0 {
+			s.cal.pop(i)
+			s.fire(s.model.activities[i])
+		}
+		s.settle()
+		return
+	}
+	m, c, acts := s.marking, &s.cal, s.model.activities
+	var set uint64 // the timed activities to reconcile besides the closure
+	if i >= 0 {
+		c.pop(i)
+		now, a, bit := c.now, acts[i], uint64(1)<<i
+		set = bit
+		s.accrueRates(now)
+		m.refresh = 0
+		if s.shifts&bit != 0 {
+			s.shift(a)
+		} else {
+			a.Output.Apply(m)
+		}
+		if s.impulsed&bit != 0 {
+			for _, h := range s.impulses[i] {
+				h.total += h.Impulse(m)
+				h.count++
+			}
+		}
+		for on := m.refresh; on != 0; on &= on - 1 {
+			ri := bits.TrailingZeros64(on)
+			r := s.rates[ri]
+			if r.indicator {
+				r.lastRate = r.indicated(m.present)
+			} else {
+				r.lastRate = r.Rate(m)
+			}
+			r.lastTime = now
+			if r.lastRate != 0 {
+				s.rateOn |= 1 << ri
+			} else {
+				s.rateOn &^= 1 << ri
+			}
+		}
+		if s.observed {
+			s.observe(now, a)
+		}
+	}
+	if m.unabsorbed|s.instOn != 0 {
+		for chain := 0; ; chain++ {
+			if chain > s.MaxInstantChain {
+				panic(fmt.Sprintf("san: instantaneous livelock in model %s", s.model.Name))
+			}
+			for u := m.unabsorbed; u != 0; u &= u - 1 {
+				ai := bits.TrailingZeros64(u)
+				if s.gate(acts[ai]) {
+					s.instOn |= 1 << ai
+				} else {
+					s.instOn &^= 1 << ai
+				}
+			}
+			m.unabsorbed = 0
+			var best *Activity
+			for on := s.instOn; on != 0; on &= on - 1 {
+				if a := acts[bits.TrailingZeros64(on)]; best == nil || a.Priority > best.Priority {
+					best = a
+				}
+			}
+			if best == nil {
+				break
+			}
+			s.fire(best)
+		}
+	}
+	set |= m.reconcile
+	closure, now := set, c.now
+	var reactivations uint64
+	for ; set != 0; set &= set - 1 {
+		ai := bits.TrailingZeros64(set)
+		a, bit := acts[ai], uint64(1)<<ai
+		on, was := s.gate(a), c.pend&bit != 0
+		switch {
+		case !on && was:
+			c.pend &^= bit
+			c.cancelled++
+			continue
+		case on && was && a.react&m.dirty != 0:
+			c.pend &^= bit
+			c.cancelled++
+			reactivations++
+		case !on || was:
+			continue
+		}
+		d := a.Delay(m, s.src)
+		if d < 0 || math.IsNaN(d) {
+			panic(fmt.Sprintf("san: activity %q sampled invalid delay %v", a.Name, d))
+		}
+		c.schedule(ai, now+d)
+	}
+	m.dirty, m.reconcile, m.unabsorbed = 0, 0, 0
+	if st := s.stats; st != nil {
+		if i >= 0 {
+			st.timedFirings.Inc()
+		}
+		sampled := st.sampleTick&statsSampleMask == 0
+		if sampled {
+			st.closureInc.Observe(float64(bits.OnesCount64(closure)))
+		}
+		st.reactivations.Add(reactivations)
+		st.settles.Inc()
+		if sampled {
+			st.queueDepth.Observe(float64(c.pending()))
+		}
+		st.sampleTick++
+	}
 }
 
-// settle performs the post-firing fixed point: fire enabled instantaneous
+// gate evaluates a's input gate for the incremental executor: one AND
+// against the presence word for a compiled AllOf gate, the Cond closure
+// otherwise. The full scan always calls Cond, so the differential tests
+// check every compiled mask against its closure.
+func (s *Simulator) gate(a *Activity) bool {
+	if a.compiled {
+		return s.marking.present&a.required == a.required
+	}
+	return a.Input.Cond(s.marking)
+}
+
+// settle is FullScan's post-firing fixed point: fire enabled instantaneous
 // activities (highest priority first) until none are enabled, then
-// reconcile timed activity schedules with the new marking. Incremental
-// mode touches only the activities in the dirty closure — the set reached
-// from the changed places through the dependency index, plus the activity
-// that just fired (whose schedule changed without any place needing to).
+// reconcile every timed activity's schedule with the new marking. It keeps
+// the incremental caches coherent, so the mode may change between runs.
 func (s *Simulator) settle() {
 	for chain := 0; ; chain++ {
 		if chain > s.MaxInstantChain {
 			panic(fmt.Sprintf("san: instantaneous livelock in model %s", s.model.Name))
 		}
-		var a *Activity
-		if s.FullScan {
-			a = s.nextInstantFull()
-		} else {
-			s.absorbInstantDirt()
-			a = s.nextInstantCached()
-		}
+		a := s.nextInstantFull()
 		if a == nil {
 			break
 		}
 		s.fire(a)
 	}
-	if s.FullScan {
-		s.reconcileTimedFull()
-	} else {
-		s.reconcileTimedDirty()
-	}
-	s.firedAct = -1
+	s.reconcileTimedFull()
 	m := s.marking
 	m.dirty, m.reconcile, m.unabsorbed = 0, 0, 0
 	if st := s.stats; st != nil {
@@ -598,17 +727,6 @@ func (s *Simulator) settle() {
 		}
 		st.sampleTick++
 	}
-}
-
-// gate evaluates a's input gate for the incremental scheduler: one AND
-// against the presence word for a compiled AllOf gate, the Cond closure
-// otherwise. The full scan always calls Cond, so the differential tests
-// check every compiled mask against its closure.
-func (s *Simulator) gate(a *Activity) bool {
-	if a.compiled {
-		return s.marking.present&a.required == a.required
-	}
-	return a.Input.Cond(s.marking)
 }
 
 // nextInstantFull scans every instantaneous activity, refreshing the
@@ -631,38 +749,6 @@ func (s *Simulator) nextInstantFull() *Activity {
 	return best
 }
 
-// absorbInstantDirt re-evaluates the instantaneous activities whose
-// declared reads include a place changed since the last absorption, plus
-// the undeclared ones, updating the enabling cache. The marking collected
-// them as it changed.
-func (s *Simulator) absorbInstantDirt() {
-	m := s.marking
-	set := m.unabsorbed
-	m.unabsorbed = 0
-	for ; set != 0; set &= set - 1 {
-		ai := bits.TrailingZeros64(set)
-		if s.gate(s.model.activities[ai]) {
-			s.instOn |= 1 << ai
-		} else {
-			s.instOn &^= 1 << ai
-		}
-	}
-}
-
-// nextInstantCached picks the highest-priority enabled instantaneous
-// activity from the cache maintained by absorbInstantDirt. Ascending-index
-// iteration is creation order, preserving the full scan's tie-breaking.
-func (s *Simulator) nextInstantCached() *Activity {
-	var best *Activity
-	for set := s.instOn; set != 0; set &= set - 1 {
-		a := s.model.activities[bits.TrailingZeros64(set)]
-		if best == nil || a.Priority > best.Priority {
-			best = a
-		}
-	}
-	return best
-}
-
 // reconcileTimedFull cancels newly-disabled timed activities, schedules
 // newly-enabled ones, and resamples activities whose reactivation places
 // changed — scanning every timed activity (the historic scheduler).
@@ -677,28 +763,8 @@ func (s *Simulator) reconcileTimedFull() {
 	}
 }
 
-// reconcileTimedDirty reconciles only the timed activities in the dirty
-// closure: watchers of changed places (enabling or reactivation), which
-// include the undeclared activities and which the marking collected as it
-// changed, and the activity that fired. Walking the closure mask from its
-// lowest bit is creation order, which keeps delay-sampling order — and
-// therefore the random stream — identical to the full scan.
-func (s *Simulator) reconcileTimedDirty() {
-	set := s.marking.reconcile
-	if fa := s.firedAct; fa >= 0 {
-		set |= 1 << fa
-	}
-	if st := s.stats; st != nil && st.sampleTick&statsSampleMask == 0 {
-		st.closureInc.Observe(float64(bits.OnesCount64(set)))
-	}
-	for ; set != 0; set &= set - 1 {
-		a := s.model.activities[bits.TrailingZeros64(set)]
-		s.reconcileOne(a, s.gate(a))
-	}
-}
-
-// reconcileOne applies the schedule/cancel/resample decision for one timed
-// activity whose input gate now evaluates to on.
+// reconcileOne applies FullScan's schedule/cancel/resample decision for one
+// timed activity whose input gate now evaluates to on.
 func (s *Simulator) reconcileOne(a *Activity, on bool) {
 	was := s.cal.scheduledAt(a.index)
 	switch {
@@ -724,7 +790,9 @@ func (s *Simulator) schedule(a *Activity) {
 	s.cal.schedule(a.index, s.cal.now+d)
 }
 
-// fire applies a's effect, accrues rewards and notifies the observers. The
+// fire applies a's effect, accrues rewards and notifies the observers. It
+// fires every activity under FullScan and the instantaneous ones under the
+// incremental executor, whose timed firings run in fireTimed. The
 // incremental executor applies a compiled Shift gate itself; FullScan, and
 // every other gate, calls Apply.
 func (s *Simulator) fire(a *Activity) {
@@ -826,10 +894,7 @@ func (s *Simulator) accrueRates(t float64) {
 func (s *Simulator) refreshRate(i int, t float64) {
 	r := s.rates[i]
 	if r.indicator && !s.FullScan {
-		r.lastRate = 0
-		if p := s.marking.present; p&r.all == r.all && (r.any == 0 || p&r.any != 0) {
-			r.lastRate = 1
-		}
+		r.lastRate = r.indicated(s.marking.present)
 	} else {
 		r.lastRate = r.Rate(s.marking)
 	}

@@ -46,14 +46,33 @@ if [ -z "${wt:-}" ]; then
 fi
 
 # run SIDE DIR SEED appends one result line for SIDE; the run's standard
-# error goes to SIDE.log.
+# error goes to SIDE.log. The run, its build included, goes in the
+# background in a process group of its own (set -m) and the script waits
+# for it with wait: bash runs a trap only after a foreground child exits,
+# but interrupts wait at once, so on INT or TERM the trap below stops the
+# whole group before the script exits.
+child=
 run() {
-	if ! bash "$2/e2ebench/run.sh" --workload "$workload" --seed "$3" --trace 0 >"$out/last" 2>>"$out/$1.log"; then
+	set -m
+	bash "$2/e2ebench/run.sh" --workload "$workload" --seed "$3" --trace 0 >"$out/last" 2>>"$out/$1.log" &
+	child=$!
+	set +m
+	if ! wait "$child"; then
+		child=
 		tail -n 20 "$out/$1.log" >&2
 		exit 1
 	fi
+	child=
 	tail -n 1 "$out/last" >>"$out/$1.jsonl"
 }
+stop() {
+	if [ -n "$child" ]; then
+		kill -TERM -- "-$child" 2>/dev/null || true
+		wait "$child" 2>/dev/null || true
+	fi
+}
+trap 'stop; exit 130' INT
+trap 'stop; exit 143' TERM
 
 # compare WORKLOAD runs the pairs of one workload and prints its table.
 compare() {
