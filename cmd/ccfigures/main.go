@@ -27,6 +27,7 @@ import (
 
 	"repro"
 	"repro/internal/asciichart"
+	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 )
@@ -75,6 +76,14 @@ func run(args []string) error {
 		opts = repro.Options{Replications: 5, Warmup: 1000, Measure: 4000, Seed: *seed}
 	}
 	opts.Workers = *workers
+	if err := cluster.RejectZeroFlags(fs, map[string]string{
+		"reps":    fmt.Sprintf("%d replications", opts.Replications),
+		"warmup":  fmt.Sprintf("%g h warmup", opts.Warmup),
+		"measure": fmt.Sprintf("%g h measure", opts.Measure),
+		"seed":    "seed 1 in the extra experiments",
+	}); err != nil {
+		return err
+	}
 	if *reps > 0 {
 		opts.Replications = *reps
 	}

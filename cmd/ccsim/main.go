@@ -69,6 +69,11 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := cluster.RejectZeroFlags(fs, map[string]string{
+		"reps": "5 replications", "warmup": "1000 h warmup", "measure": "4000 h measure", "seed": "seed 1",
+	}); err != nil {
+		return err
+	}
 
 	catalog, err := scenario.Resolve(*scenarioDir)
 	if err != nil {

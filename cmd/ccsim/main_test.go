@@ -441,3 +441,16 @@ func TestCompareJournalBothLegs(t *testing.T) {
 		t.Errorf("comparison config hash %v does not cover side B (single run: %v)", recs[0]["config_hash"], single[0]["config_hash"])
 	}
 }
+
+// An explicit 0 for a run flag is refused, naming the default the runner
+// would silently have run instead.
+func TestExplicitZeroRunFlagRefused(t *testing.T) {
+	for name, def := range map[string]string{
+		"reps": "5 replications", "warmup": "1000 h warmup", "measure": "4000 h measure", "seed": "seed 1",
+	} {
+		err := run([]string{"-" + name, "0"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-"+name+" 0 would run the default "+def) {
+			t.Errorf("-%s 0: err = %v", name, err)
+		}
+	}
+}

@@ -56,7 +56,7 @@ func TestFleetTelemetryEndToEnd(t *testing.T) {
 	// threshold (6 intervals = 300ms).
 
 	now := time.Now()
-	m, st, fl, err := blocks.CollectFleet(runDir, now, blocks.FleetOptions{})
+	m, st, fl, err := blocks.CollectFleet(runDir, now)
 	if err != nil {
 		t.Fatal(err)
 	}

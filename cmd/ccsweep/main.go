@@ -108,6 +108,11 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := cluster.RejectZeroFlags(fs, map[string]string{
+		"reps": "5 replications", "warmup": "1000 h warmup", "measure": "4000 h measure", "seed": "seed 1 for the first row",
+	}); err != nil {
+		return err
+	}
 	// A run-directory flag set without the verb it configures (listed
 	// first) is an error, not silently ignored.
 	set := map[string]bool{}
@@ -363,7 +368,7 @@ func workCmd(dir string, stdout io.Writer, workers int, name string, ttl, hbEver
 // judged for liveness, fused with block status — as one JSON document.
 // cctop -run renders the same data for humans.
 func fleetCmd(dir string, w io.Writer) error {
-	m, st, fl, err := blocks.CollectFleet(dir, time.Now(), blocks.FleetOptions{})
+	m, st, fl, err := blocks.CollectFleet(dir, time.Now())
 	if err != nil {
 		return err
 	}

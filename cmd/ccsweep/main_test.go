@@ -178,3 +178,16 @@ func TestSweepListScenarios(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An explicit 0 for a run flag is refused, naming the default the runner
+// would silently have run instead.
+func TestExplicitZeroRunFlagRefused(t *testing.T) {
+	for name, def := range map[string]string{
+		"reps": "5 replications", "warmup": "1000 h warmup", "measure": "4000 h measure", "seed": "seed 1 for the first row",
+	} {
+		err := run([]string{"-param", "procs", "-values", "8192", "-" + name, "0"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-"+name+" 0 would run the default "+def) {
+			t.Errorf("-%s 0: err = %v", name, err)
+		}
+	}
+}

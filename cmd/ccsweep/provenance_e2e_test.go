@@ -55,7 +55,7 @@ func TestProvenanceAndProfilesEndToEnd(t *testing.T) {
 	// Uniform fleet: both heartbeats carry the same binary's stamp, with
 	// ConfigHash proving which manifest each worker executed against.
 	now := time.Now()
-	_, st, fl, err := blocks.CollectFleet(runDir, now, blocks.FleetOptions{})
+	_, st, fl, err := blocks.CollectFleet(runDir, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestProvenanceAndProfilesEndToEnd(t *testing.T) {
 	// "unversioned", so a revision sorting above it keeps alpha in the
 	// majority and pins beta as the outlier.
 	doctorHeartbeatSHA(t, runDir, "beta", "zfeedfacefeedfacefeedfacefeedfac")
-	_, _, fl2, err := blocks.CollectFleet(runDir, now, blocks.FleetOptions{})
+	_, _, fl2, err := blocks.CollectFleet(runDir, now)
 	if err != nil {
 		t.Fatal(err)
 	}

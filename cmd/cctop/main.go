@@ -70,7 +70,7 @@ func run(args []string, stdout io.Writer) error {
 				time.Sleep(*interval)
 			}
 			now := time.Now()
-			m, st, fl, err := blocks.CollectFleet(*runDir, now, blocks.FleetOptions{})
+			m, st, fl, err := blocks.CollectFleet(*runDir, now)
 			if err != nil {
 				return err
 			}
@@ -306,8 +306,6 @@ func fileKinds(files []string) string {
 			kinds = append(kinds, "heap")
 		case strings.HasSuffix(f, "-goroutine.pprof"):
 			kinds = append(kinds, "grt")
-		case strings.HasSuffix(f, "-trace.out"):
-			kinds = append(kinds, "trace")
 		}
 	}
 	return strings.Join(kinds, "+")

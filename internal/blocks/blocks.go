@@ -42,6 +42,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/rng"
 	"repro/internal/vr"
@@ -435,27 +436,11 @@ func LoadManifest(dir string) (*Manifest, error) {
 // file, never a prefix — short of the torn-tail case after power loss,
 // which the journal reader detects (see ReadBlockJournal).
 func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	err := obs.AtomicWrite(filepath.Dir(path), filepath.Base(path), func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("blocks: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("blocks: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("blocks: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("blocks: %w", err)
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
 		return fmt.Errorf("blocks: %w", err)
 	}
 	return nil

@@ -41,15 +41,9 @@ type FleetWorker struct {
 	ProvenanceOutlier bool `json:"provenance_outlier,omitempty"`
 }
 
-// FleetOptions tunes staleness judgement. Zero values derive thresholds
-// from each writer's own recorded cadence (Heartbeat.IntervalMS), so a
-// fleet of mixed-interval workers is judged fairly: stale past 3
-// intervals, dead past 6.
-type FleetOptions struct {
-	StaleAfter time.Duration
-	DeadAfter  time.Duration
-}
-
+// Staleness is judged by each writer's own recorded cadence
+// (Heartbeat.IntervalMS), so a fleet of mixed-interval workers is judged
+// fairly: stale past 3 intervals, dead past 6.
 const (
 	staleIntervals = 3
 	deadIntervals  = 6
@@ -89,7 +83,7 @@ type Fleet struct {
 // CollectFleet fuses the run directory's heartbeats with a Scan into one
 // fleet view. Like Scan it only reads, so it is safe beside live workers;
 // it is the engine behind `cctop -run` and `ccsweep -fleet`.
-func CollectFleet(dir string, now time.Time, o FleetOptions) (*Manifest, Status, Fleet, error) {
+func CollectFleet(dir string, now time.Time) (*Manifest, Status, Fleet, error) {
 	m, st, err := Scan(dir, now)
 	if err != nil {
 		return nil, Status{}, Fleet{}, err
@@ -103,13 +97,8 @@ func CollectFleet(dir string, now time.Time, o FleetOptions) (*Manifest, Status,
 	var aliveRates []float64
 	for _, hb := range hbs {
 		fw := FleetWorker{Heartbeat: hb, AgeMS: hb.Age(now).Milliseconds()}
-		stale, dead := o.StaleAfter, o.DeadAfter
-		if stale <= 0 {
-			stale = time.Duration(max64(hb.IntervalMS, 1)*staleIntervals) * time.Millisecond
-		}
-		if dead <= 0 {
-			dead = time.Duration(max64(hb.IntervalMS, 1)*deadIntervals) * time.Millisecond
-		}
+		stale := time.Duration(max64(hb.IntervalMS, 1)*staleIntervals) * time.Millisecond
+		dead := time.Duration(max64(hb.IntervalMS, 1)*deadIntervals) * time.Millisecond
 		age := hb.Age(now)
 		switch {
 		case hb.Final:

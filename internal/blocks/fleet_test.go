@@ -122,7 +122,7 @@ func TestCollectFleet(t *testing.T) {
 	write(Heartbeat{Worker: "d-exit", IntervalMS: 1000, UnixMS: now.Add(-time.Hour).UnixMilli(), Final: true, Reason: "done"})
 	write(Heartbeat{Worker: "e-stale", IntervalMS: 1000, UnixMS: now.Add(-4 * time.Second).UnixMilli(), EventsPerSec: 40})
 
-	_, st, fl, err := CollectFleet(dir, now, FleetOptions{})
+	_, st, fl, err := CollectFleet(dir, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCollectFleetMergesMetrics(t *testing.T) {
 	if err := WriteHeartbeat(dir, Heartbeat{Worker: "w2", IntervalMS: 1000, UnixMS: now.UnixMilli(), Metrics: &s2}); err != nil {
 		t.Fatal(err)
 	}
-	_, st, fl, err := CollectFleet(dir, now, FleetOptions{})
+	_, st, fl, err := CollectFleet(dir, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestCollectFleetProvenanceMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, fl, err := CollectFleet(dir, now, FleetOptions{})
+	_, _, fl, err := CollectFleet(dir, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestCollectFleetProvenanceMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, fl2, err := CollectFleet(dir2, now, FleetOptions{})
+	_, _, fl2, err := CollectFleet(dir2, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,8 +370,7 @@ func TestWriteTimeline(t *testing.T) {
 	if st.Complete != len(m.Blocks)-1 {
 		t.Fatalf("status = %+v", st)
 	}
-	tr0, ok, err := trailerOf(dir, m, m.Blocks[0])
-	if err != nil || !ok || tr0.CommittedUnixMS == 0 {
-		t.Fatalf("trailer commit stamp missing: %+v ok=%v err=%v", tr0, ok, err)
+	if tr0 := st.Blocks[0].Trailer; tr0 == nil || tr0.CommittedUnixMS == 0 {
+		t.Fatalf("trailer commit stamp missing: %+v", tr0)
 	}
 }

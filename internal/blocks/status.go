@@ -44,6 +44,10 @@ type BlockInfo struct {
 	// torn block that a live lease is re-running classifies as leased, and
 	// this flag is how the scan still reports the torn file underneath.
 	TornJournal bool `json:"torn_journal,omitempty"`
+	// Trailer is the committed journal's trailer (complete blocks) and
+	// Lease the claim behind a leased or expired state, for the timeline.
+	Trailer *Trailer `json:"-"`
+	Lease   *Lease   `json:"-"`
 }
 
 // WorkerStats aggregates one worker's committed blocks.
@@ -89,6 +93,7 @@ func Scan(dir string, now time.Time) (*Manifest, Status, error) {
 		switch {
 		case jerr == nil:
 			info.State = StateComplete
+			info.Trailer = tr
 			info.Worker = tr.Worker
 			info.WallMS = tr.WallMS
 			st.Complete++
@@ -118,12 +123,14 @@ func Scan(dir string, now time.Time) (*Manifest, Status, error) {
 			switch {
 			case lerr == nil && !l.Expired(now):
 				info.State = StateLeased
+				info.Lease = &l
 				st.Leased++
 			case info.TornJournal:
 				info.State = StateTorn
 				st.Torn++
 			case lerr == nil:
 				info.State = StateExpired
+				info.Lease = &l
 				st.Expired++
 			default:
 				info.State = StateUnclaimed

@@ -53,28 +53,44 @@ func WriteTimeline(w io.Writer, dir string, now time.Time) error {
 		return err
 	}
 
-	// Assign one track per worker, in sorted-name order, discovering
-	// workers from trailers, leases, and heartbeats alike.
-	workerSet := map[string]bool{}
-	trailers := make(map[int]*Trailer)
-	for _, b := range m.Blocks {
-		if tr, ok, _ := trailerOf(dir, m, b); ok && tr != nil {
-			trailers[b.ID] = tr
-			workerSet[tr.Worker] = true
+	// t0: earliest moment referenced anywhere, so the trace starts at ~0.
+	t0 := now.UnixMilli()
+	consider := func(ms int64) {
+		if ms > 0 && ms < t0 {
+			t0 = ms
 		}
 	}
-	leases := make(map[int]Lease)
+	// Assign one track per worker, in sorted-name order, discovering
+	// workers from trailers, leases, and heartbeats alike. A committed
+	// block ends at its trailer's commit stamp; a pre-ts journal falls back
+	// to the commit rename's mtime, the next best commit-time estimate, and
+	// is left off the timeline when even that is unreadable.
+	workerSet := map[string]bool{}
+	commitMS := map[int]int64{}
 	for _, bi := range st.Blocks {
-		if bi.State != StateLeased && bi.State != StateExpired {
+		if l := bi.Lease; l != nil {
+			workerSet[l.Worker] = true
+			consider(l.AcquiredUnixMS)
+		}
+		tr := bi.Trailer
+		if tr == nil {
 			continue
 		}
-		if l, lerr := readLease(LeasePath(dir, bi.Block)); lerr == nil {
-			leases[bi.Block] = l
-			workerSet[l.Worker] = true
+		workerSet[tr.Worker] = true
+		end := tr.CommittedUnixMS
+		if end == 0 {
+			fi, statErr := os.Stat(JournalPath(dir, bi.Block))
+			if statErr != nil {
+				continue
+			}
+			end = fi.ModTime().UnixMilli()
 		}
+		commitMS[bi.Block] = end
+		consider(end - int64(tr.WallMS))
 	}
 	for _, hb := range hbs {
 		workerSet[hb.Worker] = true
+		consider(hb.StartUnixMS)
 	}
 	workers := make([]string, 0, len(workerSet))
 	for wname := range workerSet {
@@ -101,50 +117,16 @@ func WriteTimeline(w io.Writer, dir string, now time.Time) error {
 		})
 	}
 
-	// t0: earliest moment referenced anywhere, so the trace starts at ~0.
-	t0 := now.UnixMilli()
-	consider := func(ms int64) {
-		if ms > 0 && ms < t0 {
-			t0 = ms
-		}
-	}
-	for id, tr := range trailers {
-		end := tr.CommittedUnixMS
-		if end == 0 {
-			// Pre-ts journals: the commit rename's mtime is the next best
-			// commit-time estimate.
-			if fi, statErr := os.Stat(JournalPath(dir, id)); statErr == nil {
-				end = fi.ModTime().UnixMilli()
-			}
-		}
-		consider(end - int64(tr.WallMS))
-	}
-	for _, l := range leases {
-		consider(l.AcquiredUnixMS)
-	}
-	for _, hb := range hbs {
-		consider(hb.StartUnixMS)
-	}
-
 	rel := func(unixMS int64) float64 { return float64(unixMS-t0) * usPerMS }
 
 	// Committed blocks: one complete ("X") span per block, ending at the
 	// trailer's commit stamp and spanning its wall time.
-	ids := make([]int, 0, len(trailers))
-	for id := range trailers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		tr := trailers[id]
-		end := tr.CommittedUnixMS
-		if end == 0 {
-			if fi, statErr := os.Stat(JournalPath(dir, id)); statErr == nil {
-				end = fi.ModTime().UnixMilli()
-			} else {
-				continue
-			}
+	for _, bi := range st.Blocks {
+		end, ok := commitMS[bi.Block]
+		if !ok {
+			continue
 		}
+		id, tr := bi.Block, bi.Trailer
 		ct.TraceEvents = append(ct.TraceEvents, timelineEvent{
 			Name:  fmt.Sprintf("block %d (cell %d)", id, tr.Cell),
 			Phase: "X",
@@ -162,8 +144,8 @@ func WriteTimeline(w io.Writer, dir string, now time.Time) error {
 	// Uncommitted claims: a live lease is an open span (claim → now); an
 	// expired lease is the abandoned claim's full window.
 	for _, bi := range st.Blocks {
-		l, ok := leases[bi.Block]
-		if !ok {
+		l := bi.Lease
+		if l == nil {
 			continue
 		}
 		name, end := "", now.UnixMilli()

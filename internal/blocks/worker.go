@@ -32,14 +32,12 @@ type WorkerOptions struct {
 	Name string
 	// LeaseTTL bounds how long a crashed worker's claim pins a block.
 	// Default 10 minutes; it must comfortably exceed one block's wall
-	// time plus clock skew between machines sharing the directory.
+	// time plus clock skew between machines sharing the directory. The
+	// held lease is renewed every LeaseTTL / 3.
 	LeaseTTL time.Duration
 	// Poll is the wait between scans when every remaining block is leased
 	// by someone else. Default 2 s.
 	Poll time.Duration
-	// Renew is the heartbeat interval for the held lease. Default
-	// LeaseTTL / 3.
-	Renew time.Duration
 	// ExitWhenIdle makes Work return as soon as a scan claims nothing,
 	// instead of polling until every block is complete. Default false:
 	// a worker normally outlives its peers' leases so a crashed peer's
@@ -81,9 +79,6 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	}
 	if o.Poll <= 0 {
 		o.Poll = 2 * time.Second
-	}
-	if o.Renew <= 0 {
-		o.Renew = o.LeaseTTL / 3
 	}
 	if o.Heartbeat == 0 {
 		o.Heartbeat = time.Second
@@ -303,14 +298,15 @@ func claimedOnce(b *bool) bool {
 	return was
 }
 
-// executeBlock runs one claimed block under a renewal heartbeat, commits
-// its journal and returns the events and wall time its trailer records.
+// executeBlock runs one claimed block, renewing its lease every
+// LeaseTTL/3, commits its journal and returns the events and wall time its
+// trailer records.
 func executeBlock(ctx context.Context, dir string, m *Manifest, b Block, run RunFunc, o WorkerOptions) (events uint64, wallMS float64, err error) {
 	hbCtx, stopHB := context.WithCancel(ctx)
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
-		t := time.NewTicker(o.Renew)
+		t := time.NewTicker(o.LeaseTTL / 3)
 		defer t.Stop()
 		for {
 			select {
@@ -335,18 +331,6 @@ func executeBlock(ctx context.Context, dir string, m *Manifest, b Block, run Run
 		return 0, 0, err
 	}
 	return out.Events, wallMS, release(dir, b.ID)
-}
-
-// trailerOf fetches a block's trailer, reporting incompleteness distinctly.
-func trailerOf(dir string, m *Manifest, b Block) (*Trailer, bool, error) {
-	_, tr, err := ReadBlockJournal(dir, m, b)
-	if err != nil {
-		if errors.Is(err, ErrIncomplete) {
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	return tr, true, nil
 }
 
 // heartbeater writes the worker's Heartbeat snapshot on its own goroutine

@@ -136,6 +136,20 @@ func DeclareFlags(fs *flag.FlagSet, names ...string) {
 	}
 }
 
+// RejectZeroFlags refuses an explicit 0 for each flag of fs that runs
+// names: the runner reads a zero option as unset, so such a run would
+// silently use the default runs[name] (for example "5 replications").
+func RejectZeroFlags(fs *flag.FlagSet, runs map[string]string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		v, perr := strconv.ParseFloat(f.Value.String(), 64)
+		if def, ok := runs[f.Name]; ok && err == nil && perr == nil && v == 0 {
+			err = fmt.Errorf("-%s 0 would run the default %s: give a nonzero value or omit the flag", f.Name, def)
+		}
+	})
+	return err
+}
+
 // SetParam sets the named parameter from its textual value.
 func SetParam(c *Config, name, value string) error {
 	set, err := ParamSetter(name)

@@ -85,7 +85,7 @@ func TestNoBufferedRecoveryAlwaysStage1(t *testing.T) {
 	if in.Snapshot()["chkpt_buffered"] != 1 {
 		t.Fatal("no buffered checkpoint to ignore")
 	}
-	in.computeFailure(in.sim.Marking())
+	in.computeFailure(in.sim.CurrentMarking())
 	snap := in.Snapshot()
 	if snap["recovery_stage1"] != 1 || snap["recovery_stage2"] != 0 {
 		t.Fatalf("recovery should ignore the buffer: %v", snap)
@@ -109,7 +109,7 @@ func TestNoBufferedRecoveryRollsBackToDurable(t *testing.T) {
 		t.Skip("no buffered-ahead window observed")
 	}
 	durable := in.SecuredDurable()
-	in.computeFailure(in.sim.Marking())
+	in.computeFailure(in.sim.CurrentMarking())
 	if got := in.Useful(); got != durable {
 		t.Fatalf("useful after failure = %v, want durable level %v", got, durable)
 	}

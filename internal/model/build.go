@@ -125,9 +125,6 @@ func coordinationDist(cfg cluster.Config) rng.Dist {
 	}
 }
 
-// Config returns the instance's configuration.
-func (in *Instance) Config() cluster.Config { return in.cfg }
-
 // Model exposes the underlying SAN structure (for structural tests).
 func (in *Instance) Model() *san.Model { return in.mod }
 

@@ -238,7 +238,7 @@ func TestRecoverySkipsStage1WhenBuffered(t *testing.T) {
 		t.Fatalf("no buffered checkpoint after one interval: %v", snap)
 	}
 	// Inject a failure through the public failure path.
-	in.computeFailure(in.sim.Marking())
+	in.computeFailure(in.sim.CurrentMarking())
 	snap = in.Snapshot()
 	if snap["recovery_stage1"] != 0 || snap["recovery_stage2"] != 1 {
 		t.Fatalf("buffered recovery should skip stage 1: %v", snap)
@@ -252,7 +252,7 @@ func TestRecoveryUsesStage1WithoutBuffer(t *testing.T) {
 	if in.Snapshot()["chkpt_buffered"] != 0 {
 		t.Fatal("unexpected buffered checkpoint")
 	}
-	in.computeFailure(in.sim.Marking())
+	in.computeFailure(in.sim.CurrentMarking())
 	snap := in.Snapshot()
 	if snap["recovery_stage1"] != 1 || snap["recovery_stage2"] != 0 {
 		t.Fatalf("unbuffered recovery should start at stage 1: %v", snap)
@@ -274,7 +274,7 @@ func TestUsefulWorkRollback(t *testing.T) {
 	if preUseful <= secured {
 		t.Fatal("no at-risk work accrued")
 	}
-	in.computeFailure(in.sim.Marking())
+	in.computeFailure(in.sim.CurrentMarking())
 	if got := in.Useful(); math.Abs(got-secured) > 1e-9 {
 		t.Fatalf("useful after failure = %v, want rollback to %v", got, secured)
 	}
@@ -379,7 +379,7 @@ func TestIOFailureDuringCheckpointWrite(t *testing.T) {
 	if buffered <= durable {
 		t.Fatal("expected buffered checkpoint ahead of durable")
 	}
-	in.ioFailure(in.sim.Marking())
+	in.ioFailure(in.sim.CurrentMarking())
 	snap := in.Snapshot()
 	if snap["execution"] != 1 || snap["sys_up"] != 1 {
 		t.Fatalf("compute side affected by checkpoint-write I/O failure: %v", snap)
@@ -408,7 +408,7 @@ func TestIOFailureDuringAppDataWrite(t *testing.T) {
 	if in.Snapshot()["writing_appdata"] != 1 {
 		t.Fatal("never observed an application-data FS write")
 	}
-	in.ioFailure(in.sim.Marking())
+	in.ioFailure(in.sim.CurrentMarking())
 	snap := in.Snapshot()
 	if snap["sys_up"] != 0 {
 		t.Fatalf("compute side kept running after app-data loss: %v", snap)
@@ -426,7 +426,7 @@ func TestRebootAfterThreshold(t *testing.T) {
 	cfg.SevereFailureThreshold = 3
 	in := mustNew(t, cfg, 13)
 	in.Advance(0.6)
-	mk := in.sim.Marking()
+	mk := in.sim.CurrentMarking()
 	in.computeFailure(mk)
 	for i := 0; i < 3; i++ {
 		if in.Snapshot()["rebooting"] == 1 {

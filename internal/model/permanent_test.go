@@ -49,7 +49,7 @@ func TestPermanentFlagClearedByRecovery(t *testing.T) {
 	cfg.ReconfigurationTime = cluster.Minutes(5)
 	in := mustNew(t, cfg, 71)
 	in.Advance(0.6)
-	in.computeFailure(in.sim.Marking())
+	in.computeFailure(in.sim.CurrentMarking())
 	if in.Snapshot()["reconfig_needed"] != 1 {
 		t.Fatal("permanent failure did not set reconfig_needed at p=1")
 	}

@@ -145,15 +145,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Mean returns the mean observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // Snapshot returns a copy of the histogram state. Min/Max are 0 when the
 // histogram is empty, so the snapshot is always JSON-marshalable.
 func (h *Histogram) Snapshot() HistogramSnapshot {
@@ -253,9 +244,6 @@ var DefaultTimerBuckets = []float64{1e-4, 1e-3, 1e-2, 1e-1, 1, 10, 100, 1000}
 
 // Observe records one duration.
 func (t *Timer) Observe(d time.Duration) { t.h.Observe(d.Seconds()) }
-
-// Since records the time elapsed since start.
-func (t *Timer) Since(start time.Time) { t.Observe(time.Since(start)) }
 
 // Snapshot returns the underlying histogram snapshot (seconds).
 func (t *Timer) Snapshot() HistogramSnapshot { return t.h.Snapshot() }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"runtime/trace"
 	"sort"
 	"strings"
 	"sync"
@@ -16,9 +15,9 @@ import (
 
 // ProfileCapture is active self-profiling: a postmortem that arrives with
 // its own explanation. Trigger arms one bounded capture window — a CPU
-// profile and (optionally) a runtime/trace over the window, then heap and
-// goroutine profiles at its end — and commits every file atomically
-// (temp + rename) into the capture directory, beside the heartbeats of a
+// profile over the window, then heap and goroutine profiles at its end —
+// and commits every file atomically (AtomicWrite) into the capture
+// directory, beside the heartbeats of a
 // distributed run. A JSON capture manifest is committed last, so a
 // manifest on disk implies every profile it names is complete.
 //
@@ -43,16 +42,13 @@ type ProfileCaptureOptions struct {
 	// usually the worker name. Default "profile". Path separators are
 	// flattened, as in heartbeat file names.
 	Prefix string
-	// Window is how long the CPU profile (and trace, if enabled) runs.
-	// Default 2s.
+	// Window is how long the CPU profile runs. Default 2s.
 	Window time.Duration
 	// NoCPU skips the CPU profile — e.g. when the process already runs
 	// one globally. Heap and goroutine profiles are always captured: they
 	// are instantaneous and explain memory stragglers the CPU profile
 	// cannot.
 	NoCPU bool
-	// Trace additionally records a runtime/trace over the window.
-	Trace bool
 	// MaxCaptures bounds how many captures one process may write.
 	// Default 4; negative means unlimited.
 	MaxCaptures int
@@ -203,16 +199,16 @@ func (p *ProfileCapture) capture(seq int, reason string) error {
 	var files []string
 	commit := func(suffix string, write func(f *os.File) error) error {
 		name := base + suffix
-		if err := atomicProfile(p.o.Dir, name, write); err != nil {
+		if err := AtomicWrite(p.o.Dir, name, write); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		files = append(files, name)
 		return nil
 	}
 
-	// Window phase: CPU profile and trace record concurrently for Window.
-	var cpuErr, traceErr error
-	var cpuTmp, traceTmp *os.File
+	// Window phase: the CPU profile records for Window.
+	var cpuErr error
+	var cpuTmp *os.File
 	if !p.o.NoCPU {
 		cpuTmp, cpuErr = os.CreateTemp(p.o.Dir, base+".tmp-*")
 		if cpuErr == nil {
@@ -226,17 +222,6 @@ func (p *ProfileCapture) capture(seq int, reason string) error {
 			}
 		}
 	}
-	if p.o.Trace {
-		traceTmp, traceErr = os.CreateTemp(p.o.Dir, base+".tmp-*")
-		if traceErr == nil {
-			if err := trace.Start(traceTmp); err != nil {
-				traceErr = err
-				traceTmp.Close()
-				os.Remove(traceTmp.Name())
-				traceTmp = nil
-			}
-		}
-	}
 	time.Sleep(p.o.Window)
 	if cpuTmp != nil {
 		pprof.StopCPUProfile()
@@ -246,19 +231,8 @@ func (p *ProfileCapture) capture(seq int, reason string) error {
 			files = append(files, base+"-cpu.pprof")
 		}
 	}
-	if traceTmp != nil {
-		trace.Stop()
-		if err := commitTemp(traceTmp, filepath.Join(p.o.Dir, base+"-trace.out")); err != nil {
-			traceErr = err
-		} else {
-			files = append(files, base+"-trace.out")
-		}
-	}
 	if cpuErr != nil {
 		p.logf("profile capture %d: cpu profile skipped: %v", seq, cpuErr)
-	}
-	if traceErr != nil {
-		p.logf("profile capture %d: trace skipped: %v", seq, traceErr)
 	}
 
 	// Instant phase: heap (post-GC, so it shows live objects) and
@@ -303,8 +277,11 @@ func (p *ProfileCapture) capture(seq int, reason string) error {
 // profileManifestSuffix marks capture manifests; ReadProfiles scans for it.
 const profileManifestSuffix = ".profile.json"
 
-// atomicProfile writes one file via temp + rename.
-func atomicProfile(dir, name string, write func(f *os.File) error) error {
+// AtomicWrite commits the file name in dir durably: write fills a unique
+// temp file beside it, which is then fsynced, closed and renamed into
+// place; the temp file is removed on any failure. A reader sees the old
+// file or the whole new one, never a torn write.
+func AtomicWrite(dir, name string, write func(f *os.File) error) error {
 	tmp, err := os.CreateTemp(dir, name+".tmp-*")
 	if err != nil {
 		return err

@@ -40,7 +40,6 @@ func TestProfileCaptureCommitsParseableProfiles(t *testing.T) {
 		Dir:    dir,
 		Prefix: "worker-a",
 		Window: 50 * time.Millisecond,
-		Trace:  true,
 		Meta:   map[string]string{"git_sha": "abc123"},
 	})
 	if !p.Trigger("unit test") {
@@ -73,7 +72,6 @@ func TestProfileCaptureCommitsParseableProfiles(t *testing.T) {
 		"worker-a-001-cpu.pprof":       false,
 		"worker-a-001-heap.pprof":      false,
 		"worker-a-001-goroutine.pprof": false,
-		"worker-a-001-trace.out":       false,
 	}
 	for _, f := range info.Files {
 		if _, ok := want[f]; ok {
@@ -85,19 +83,11 @@ func TestProfileCaptureCommitsParseableProfiles(t *testing.T) {
 			t.Fatalf("capture lacks %s (files: %v)", f, info.Files)
 		}
 	}
-	// The pprof files must be parseable (intact gzipped proto), the trace
-	// must carry the runtime/trace header.
+	// The pprof files must be parseable (intact gzipped proto).
 	for _, f := range []string{"worker-a-001-cpu.pprof", "worker-a-001-heap.pprof", "worker-a-001-goroutine.pprof"} {
 		if body := gunzipAll(t, filepath.Join(dir, f)); len(body) == 0 {
 			t.Fatalf("%s decompressed to nothing", f)
 		}
-	}
-	traceData, err := os.ReadFile(filepath.Join(dir, "worker-a-001-trace.out"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(traceData, []byte("go 1.")) {
-		t.Fatalf("trace file lacks runtime/trace header: %q", traceData[:min(16, len(traceData))])
 	}
 	// No temp droppings survive a clean capture.
 	entries, _ := os.ReadDir(dir)

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Shard is a per-worker view of a registry: its counters and histograms
 // are plain (non-atomic) values owned by one goroutine, so a simulation
@@ -156,14 +153,4 @@ func (sh *Shard) Snapshot() map[string]any {
 		out[h.name] = h.Snapshot()
 	}
 	return out
-}
-
-// Names returns the shard's metric names, sorted (for tests and tooling).
-func (sh *Shard) Names() []string {
-	names := make([]string, 0, len(sh.byName))
-	for name := range sh.byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -9,11 +9,6 @@ package rng
 // Monte-Carlo noise — the antithetic-variates estimator driven by
 // runner.Estimate's VarianceReduction option.
 //
-// Reflection survives sub-stream splitting: Split consumes exactly one draw
-// from the inner stream (the same draw the plain leg's Split consumes) and
-// wraps the derived child, so every component of a reflected replication sees
-// the mirror image of the draws its plain twin saw.
-//
 // The zero value is not usable; wrap a concrete Source.
 type Antithetic struct {
 	Inner Source
@@ -21,22 +16,11 @@ type Antithetic struct {
 
 var _ Source = Antithetic{}
 
-// Uint64 returns the bitwise complement of the inner stream's next value,
-// the integer analogue of u → 1−u.
-func (a Antithetic) Uint64() uint64 { return ^a.Inner.Uint64() }
-
 // Float64 returns the reflection 1−u of the inner stream's next uniform.
 // The result is always in the open interval (0, 1): Float64's grid values
 // k/2⁵³ reflect exactly (see Reflect), and the single unreachable point
 // u = 0 is clamped just below one.
 func (a Antithetic) Float64() float64 { return Reflect(a.Inner.Float64()) }
-
-// Split derives the reflected twin of the child the plain leg would derive:
-// it splits the inner stream (consuming the same single draw) and wraps the
-// result, so reflection is inherited by every sub-stream.
-func (a Antithetic) Split(label uint64) Source {
-	return Antithetic{Inner: a.Inner.Split(label)}
-}
 
 // Reflect maps a uniform u ∈ [0, 1) to its antithetic partner 1−u. Every
 // value Float64 can produce has the form k/2⁵³ with k < 2⁵³, so 1−u =
@@ -52,8 +36,8 @@ func Reflect(u float64) float64 {
 	return r
 }
 
-// Counter wraps a Source and counts how many values are consumed from it
-// (Uint64, Float64 and Split each consume one). The common-random-numbers
+// Counter wraps a Source and counts how many values are consumed from it.
+// The common-random-numbers
 // audit in runner.Compare wraps each per-purpose sub-stream in a Counter so
 // a SyncReport can quantify where two configurations' draw sequences
 // diverge.
@@ -65,12 +49,5 @@ type Counter struct {
 
 var _ Source = (*Counter)(nil)
 
-// Uint64 counts one draw and forwards to the wrapped source.
-func (c *Counter) Uint64() uint64 { c.N++; return c.Src.Uint64() }
-
 // Float64 counts one draw and forwards to the wrapped source.
 func (c *Counter) Float64() float64 { c.N++; return c.Src.Float64() }
-
-// Split counts the one draw splitting consumes and forwards to the wrapped
-// source. The derived child is returned unwrapped (it has its own purpose).
-func (c *Counter) Split(label uint64) Source { c.N++; return c.Src.Split(label) }

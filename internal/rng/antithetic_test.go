@@ -18,10 +18,6 @@ func (f *fixedSource) Float64() float64 {
 	f.i++
 	return u
 }
-func (f *fixedSource) Uint64() uint64 {
-	return uint64(f.Float64() * (1 << 53))
-}
-func (f *fixedSource) Split(uint64) Source { return &fixedSource{seq: f.seq} }
 
 // A constant-zero Source used to spin rng.Float64Open forever before the
 // retry loop was bounded.
@@ -97,33 +93,6 @@ func TestReflectIsExactInvolution(t *testing.T) {
 	}
 }
 
-// Split must derive paired children: the reflected stream's child reflects
-// the plain stream's child, draw for draw — reflection survives sub-stream
-// splitting.
-func TestAntitheticSplitPairsChildren(t *testing.T) {
-	plain, mirror := New(9), Antithetic{Inner: New(9)}
-	pc := plain.Split(0xfa17)
-	mc := mirror.Split(0xfa17)
-	for i := 0; i < 1000; i++ {
-		u, v := pc.Float64(), mc.Float64()
-		if v != Reflect(u) {
-			t.Fatalf("child draw %d: %v is not the reflection of %v", i, v, u)
-		}
-	}
-	// And the parents stay paired after the split consumed one draw each.
-	if u, v := plain.Float64(), mirror.Float64(); v != Reflect(u) {
-		t.Fatalf("parents desynced after split: %v vs %v", u, v)
-	}
-	// Nested splits inherit the pairing too.
-	pg := pc.Split(7)
-	mg := mc.Split(7)
-	for i := 0; i < 100; i++ {
-		if u, v := pg.Float64(), mg.Float64(); v != Reflect(u) {
-			t.Fatalf("grandchild draw %d: %v is not the reflection of %v", i, v, u)
-		}
-	}
-}
-
 // (plain, reflected) Exponential samples must be strongly negatively
 // correlated — the property the antithetic estimator's variance reduction
 // rests on. The pairing is antitone (y is a strictly decreasing function of
@@ -188,30 +157,19 @@ func ranks(v []float64) []float64 {
 	return r
 }
 
-func TestAntitheticUint64Complements(t *testing.T) {
-	plain, mirror := New(5), Antithetic{Inner: New(5)}
-	for i := 0; i < 1000; i++ {
-		if u, v := plain.Uint64(), mirror.Uint64(); v != ^u {
-			t.Fatalf("draw %d: %x is not the complement of %x", i, v, u)
-		}
-	}
-}
-
 func TestCounterCounts(t *testing.T) {
 	c := &Counter{Src: New(1)}
-	c.Uint64()
 	c.Float64()
 	c.Float64()
-	c.Split(3)
-	if c.N != 4 {
-		t.Fatalf("counter N = %d, want 4", c.N)
+	if c.N != 2 {
+		t.Fatalf("counter N = %d, want 2", c.N)
 	}
 	// Counting must not perturb the values.
 	raw := New(1)
 	c2 := &Counter{Src: New(1)}
 	for i := 0; i < 100; i++ {
-		if a, b := raw.Uint64(), c2.Uint64(); a != b {
-			t.Fatalf("draw %d: counter changed value %d != %d", i, a, b)
+		if a, b := raw.Float64(), c2.Float64(); a != b {
+			t.Fatalf("draw %d: counter changed value %v != %v", i, a, b)
 		}
 	}
 }

@@ -11,8 +11,6 @@ import (
 type Dist interface {
 	// Sample draws one value from the distribution.
 	Sample(src Source) float64
-	// Mean returns the distribution's expectation.
-	Mean() float64
 	// String describes the distribution for traces and error messages.
 	String() string
 }
@@ -28,9 +26,6 @@ var _ Dist = Deterministic{}
 
 // Sample returns the fixed value.
 func (d Deterministic) Sample(Source) float64 { return d.Value }
-
-// Mean returns the fixed value.
-func (d Deterministic) Mean() float64 { return d.Value }
 
 func (d Deterministic) String() string { return fmt.Sprintf("det(%g)", d.Value) }
 
@@ -48,9 +43,6 @@ func (d Exponential) Sample(src Source) float64 {
 	return -d.MeanValue * math.Log(open(src))
 }
 
-// Mean returns the distribution mean.
-func (d Exponential) Mean() float64 { return d.MeanValue }
-
 func (d Exponential) String() string { return fmt.Sprintf("exp(mean=%g)", d.MeanValue) }
 
 // Uniform is the continuous uniform distribution on [Low, High].
@@ -64,9 +56,6 @@ var _ Dist = Uniform{}
 func (d Uniform) Sample(src Source) float64 {
 	return d.Low + (d.High-d.Low)*src.Float64()
 }
-
-// Mean returns (Low+High)/2.
-func (d Uniform) Mean() float64 { return (d.Low + d.High) / 2 }
 
 func (d Uniform) String() string { return fmt.Sprintf("unif[%g,%g]", d.Low, d.High) }
 
@@ -194,33 +183,6 @@ func (d MaxOfGroups) String() string {
 	return fmt.Sprintf("maxgroups(%d groups)", len(d.Groups))
 }
 
-// Erlang is the Erlang-k distribution: the sum of K i.i.d. exponentials
-// with total mean MeanValue. Used in tests and as an extension point for
-// lower-variance recovery times.
-type Erlang struct {
-	K         int
-	MeanValue float64
-}
-
-var _ Dist = Erlang{}
-
-// Sample draws by summing K exponentials (product-of-uniforms form).
-func (d Erlang) Sample(src Source) float64 {
-	if d.K <= 0 {
-		return 0
-	}
-	prod := 1.0
-	for i := 0; i < d.K; i++ {
-		prod *= open(src)
-	}
-	return -d.MeanValue / float64(d.K) * math.Log(prod)
-}
-
-// Mean returns the distribution mean.
-func (d Erlang) Mean() float64 { return d.MeanValue }
-
-func (d Erlang) String() string { return fmt.Sprintf("erlang(k=%d,mean=%g)", d.K, d.MeanValue) }
-
 // HyperExponential mixes two exponentials: with probability P the sample
 // comes from an exponential with mean MeanA, otherwise from one with mean
 // MeanB. The paper notes generic correlated failures are "usually assumed"
@@ -262,11 +224,6 @@ var _ Dist = Weibull{}
 // Sample draws by inversion: scale · (-ln U)^{1/shape}.
 func (d Weibull) Sample(src Source) float64 {
 	return d.Scale * math.Pow(-math.Log(open(src)), 1/d.Shape)
-}
-
-// Mean returns scale · Γ(1 + 1/shape).
-func (d Weibull) Mean() float64 {
-	return d.Scale * math.Gamma(1+1/d.Shape)
 }
 
 func (d Weibull) String() string {

@@ -14,14 +14,8 @@ import "math"
 // randomness interface the rest of the repository uses, so tests can
 // substitute fixed sequences.
 type Source interface {
-	// Uint64 returns the next 64 random bits.
-	Uint64() uint64
 	// Float64 returns a uniform value in [0, 1).
 	Float64() float64
-	// Split returns a new independent Source derived from this one's
-	// stream and the given label. Splitting does not perturb the parent
-	// stream's future output beyond consuming one value.
-	Split(label uint64) Source
 }
 
 // Stream is a xoshiro256++ generator. The zero value is not usable; obtain

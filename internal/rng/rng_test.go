@@ -84,7 +84,7 @@ func TestSplitIndependence(t *testing.T) {
 	c2 := parent.Split(2)
 	same := 0
 	for i := 0; i < 100; i++ {
-		if c1.Uint64() == c2.Uint64() {
+		if c1.Float64() == c2.Float64() {
 			same++
 		}
 	}
@@ -97,7 +97,7 @@ func TestSplitDeterministic(t *testing.T) {
 	a := New(5).Split(7)
 	b := New(5).Split(7)
 	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.Float64() != b.Float64() {
 			t.Fatal("split streams with identical lineage diverged")
 		}
 	}

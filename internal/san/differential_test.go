@@ -218,7 +218,7 @@ func TestResetReusesSchedulerState(t *testing.T) {
 	if drains.Count() != 0 || drains.Total() != 0 {
 		t.Fatalf("Reset left impulse state count=%d total=%v", drains.Count(), drains.Total())
 	}
-	mk := sim.Marking()
+	mk := sim.CurrentMarking()
 	if mk.dirty != 0 || mk.unabsorbed != 0 {
 		t.Fatalf("Reset left open dirty state: dirty=%#x unabsorbed=%#x", mk.dirty, mk.unabsorbed)
 	}

@@ -471,7 +471,7 @@ func TestMarkingOperations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := sim.Marking()
+	mk := sim.CurrentMarking()
 	if mk.Get(a) != 3 || mk.Has(b) {
 		t.Fatal("initial marking wrong")
 	}

@@ -394,10 +394,6 @@ func (s *Simulator) Now() float64 { return s.cal.now }
 // Fired returns the number of activity firings so far.
 func (s *Simulator) Fired() uint64 { return s.cal.fired }
 
-// Marking exposes the current marking (read it, don't mutate it outside
-// activity effects).
-func (s *Simulator) Marking() *Marking { return s.marking }
-
 // SetTrace installs a firing observer (nil disables tracing).
 func (s *Simulator) SetTrace(f TraceFunc) {
 	s.trace = f

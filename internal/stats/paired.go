@@ -37,10 +37,6 @@ func (p *PairedAccumulator) AddPair(a, b float64) {
 // Pairs returns the number of pairs incorporated.
 func (p *PairedAccumulator) Pairs() int { return p.pairs.N() }
 
-// Mean returns the estimate: the mean of the pair means, which equals the
-// mean over all legs.
-func (p *PairedAccumulator) Mean() float64 { return p.pairs.Mean() }
-
 // PairVariance returns the unbiased sample variance of the pair means —
 // the variance that actually drives the confidence interval.
 func (p *PairedAccumulator) PairVariance() float64 { return p.pairs.Variance() }

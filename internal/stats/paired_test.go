@@ -17,8 +17,8 @@ func TestPairedAccumulatorMeanMatchesLegs(t *testing.T) {
 		flat.Add(a)
 		flat.Add(b)
 	}
-	if math.Abs(p.Mean()-flat.Mean()) > 1e-12 {
-		t.Fatalf("paired mean %v != flat mean %v", p.Mean(), flat.Mean())
+	if math.Abs(p.pairs.Mean()-flat.Mean()) > 1e-12 {
+		t.Fatalf("paired mean %v != flat mean %v", p.pairs.Mean(), flat.Mean())
 	}
 	if p.Pairs() != 500 || p.legs.N() != 1000 {
 		t.Fatalf("counts pairs=%d legs=%d, want 500/1000", p.Pairs(), p.legs.N())

@@ -1,8 +1,7 @@
 // Package stats provides the estimation machinery used to turn raw
 // simulation output into point estimates with confidence intervals: Welford
 // accumulators, the replication-order fold (plain or antithetic-paired),
-// Student-t intervals, time-weighted means for continuous-time
-// statistics, batch means for steady-state output analysis, and histograms.
+// Student-t intervals, and batch means for steady-state output analysis.
 package stats
 
 import (
@@ -17,7 +16,7 @@ type Accumulator struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
+	min  float64 // written, never read: see ROADMAP "Less code elsewhere"
 	max  float64
 }
 
@@ -64,9 +63,6 @@ func (a *Accumulator) StdErr() float64 {
 	}
 	return a.StdDev() / math.Sqrt(float64(a.n))
 }
-
-// Min returns the smallest observation (0 if empty).
-func (a *Accumulator) Min() float64 { return a.min }
 
 // Max returns the largest observation (0 if empty).
 func (a *Accumulator) Max() float64 { return a.max }
@@ -276,51 +272,6 @@ func lnGamma(x float64) float64 {
 	v, _ := math.Lgamma(x)
 	return v
 }
-
-// TimeWeighted accumulates the time-average of a piecewise-constant signal,
-// e.g. the number of tokens in a SAN place over simulated time.
-type TimeWeighted struct {
-	started   bool
-	lastT     float64
-	lastV     float64
-	integral  float64
-	totalTime float64
-}
-
-// Observe records that the signal has value v from time t onward. Calls
-// must have non-decreasing t.
-func (w *TimeWeighted) Observe(t, v float64) {
-	if w.started {
-		dt := t - w.lastT
-		if dt < 0 {
-			dt = 0
-		}
-		w.integral += w.lastV * dt
-		w.totalTime += dt
-	}
-	w.started = true
-	w.lastT = t
-	w.lastV = v
-}
-
-// Finish closes the observation window at time t and returns the
-// time-averaged value.
-func (w *TimeWeighted) Finish(t float64) float64 {
-	w.Observe(t, w.lastV)
-	return w.Mean()
-}
-
-// Mean returns the time average observed so far (0 before any interval has
-// elapsed).
-func (w *TimeWeighted) Mean() float64 {
-	if w.totalTime == 0 {
-		return 0
-	}
-	return w.integral / w.totalTime
-}
-
-// Integral returns the accumulated ∫v dt.
-func (w *TimeWeighted) Integral() float64 { return w.integral }
 
 // BatchMeans performs the method of batch means on a single long run:
 // the observations are grouped into Batches equal-size batches and batch

@@ -28,7 +28,6 @@ type Event struct {
 type Writer struct {
 	bw  *bufio.Writer
 	enc *json.Encoder
-	n   int
 }
 
 // NewWriter wraps w for event streaming.
@@ -42,12 +41,8 @@ func (w *Writer) Write(ev Event) error {
 	if err := w.enc.Encode(ev); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	w.n++
 	return nil
 }
-
-// Count returns the number of events written.
-func (w *Writer) Count() int { return w.n }
 
 // Flush drains the buffer; call once after the last event.
 func (w *Writer) Flush() error {

@@ -1,5 +1,6 @@
 // Package other shares names with lib: main reaches its function E and its
-// method F, which must not keep lib's functions E and F alive.
+// methods F and G, which must not keep lib's functions E and F or its
+// method V.G alive.
 package other
 
 func E() {}
@@ -7,3 +8,5 @@ func E() {}
 type W int
 
 func (W) F() {}
+
+func (W) G() {}
