@@ -80,7 +80,7 @@ func run(args []string) error {
 		"reps":    fmt.Sprintf("%d replications", opts.Replications),
 		"warmup":  fmt.Sprintf("%g h warmup", opts.Warmup),
 		"measure": fmt.Sprintf("%g h measure", opts.Measure),
-		"seed":    "seed 1 in the extra experiments",
+		"seed":    "seed 1",
 	}); err != nil {
 		return err
 	}

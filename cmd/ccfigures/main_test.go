@@ -227,15 +227,15 @@ func TestFiguresReportBadFlag(t *testing.T) {
 }
 
 // An explicit 0 for a run flag is refused, naming the default it would
-// silently have run instead: the quick or -paper window, and seed 1 for
-// the extras.
+// silently have run instead: the quick or -paper window, and seed 1 (every
+// experiment derives its cell seeds from the defaulted seed).
 func TestExplicitZeroRunFlagRefused(t *testing.T) {
 	for _, c := range []struct{ args, want string }{
 		{"-reps 0", "-reps 0 would run the default 3 replications"},
 		{"-paper -reps 0", "-reps 0 would run the default 5 replications"},
 		{"-warmup 0", "-warmup 0 would run the default 300 h warmup"},
 		{"-measure 0", "-measure 0 would run the default 1500 h measure"},
-		{"-seed 0", "-seed 0 would run the default seed 1 in the extra experiments"},
+		{"-seed 0", "-seed 0 would run the default seed 1:"},
 	} {
 		err := run(append(strings.Fields(c.args), "-only", "fig4g"))
 		if err == nil || !strings.Contains(err.Error(), c.want) {

@@ -59,36 +59,51 @@ func setParams(cfg *cluster.Config, overrides string) error {
 	return nil
 }
 
-// runSpecs measures every cell of the given specs as one block-planned
-// grid (runner.PlanGrid → runner.EstimateGrid): the figure's whole
+// runSpecs measures every cell of the given specs (estimateSpecs) and
+// assembles the series in declaration order.
+func runSpecs(specs []seriesSpec, opts runner.Options) ([]Series, error) {
+	results, err := estimateSpecs(specs, opts)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Series, len(specs))
+	for si, sp := range specs {
+		out[si] = Series{Name: sp.name, Points: make([]Point, len(sp.xs))}
+		for xi, x := range sp.xs {
+			r := results[si][xi]
+			out[si].Points[xi] = Point{X: x, Fraction: r.UsefulWorkFraction, Total: r.TotalUsefulWork}
+		}
+	}
+	return out, nil
+}
+
+// estimateSpecs estimates every cell of the given specs as one
+// block-planned grid (runner.PlanGrid → runner.EstimateGrid): the whole
 // (series × x) space is declared as manifest cells up front and fans out
 // on the bounded worker pool (opts.Workers; a cell is the unit of
-// parallelism, so each cell's replications run sequentially), then the
-// series are assembled in declaration order. A cell's seed depends only on
-// (opts.Seed, series name, x index) — the same derivation the sequential
-// sweeps used — so the whole grid is bit-identical for every worker count
-// and scheduling, and a figure can equally be exported as a run directory
-// and computed by detached workers.
-func runSpecs(specs []seriesSpec, opts runner.Options) ([]Series, error) {
+// parallelism, so each cell's replications run sequentially). It returns
+// results[si][xi]. A cell's seed depends only on (opts.Seed, defaulted as
+// Estimate defaults it, series name, x index) — the same derivation the
+// sequential sweeps used — so the whole grid is bit-identical for every
+// worker count and scheduling, and a figure can equally be exported as a
+// run directory and computed by detached workers.
+func estimateSpecs(specs []seriesSpec, opts runner.Options) ([][]runner.Result, error) {
 	type cellRef struct{ si, xi int }
 	var refs []cellRef
 	var cells []blocks.Cell
+	seed := opts.WithDefaults().Seed
 	for si, sp := range specs {
 		for xi, x := range sp.xs {
 			refs = append(refs, cellRef{si, xi})
 			cells = append(cells, blocks.Cell{
 				Label:  fmt.Sprintf("%s@%g", sp.name, x),
 				X:      x,
-				Seed:   opts.Seed*1000003 + uint64(xi)*7919 + hashName(sp.name),
+				Seed:   seed*1000003 + uint64(xi)*7919 + hashName(sp.name),
 				Config: sp.cfgs[xi],
 			})
 		}
 	}
-	m, err := runner.PlanGrid("experiments", cells, 0, opts)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	results, err := runner.EstimateGrid(context.Background(), m, opts, nil)
+	results, err := estimateCells(cells, opts)
 	if err != nil {
 		var ce *runner.CellError
 		if errors.As(err, &ce) {
@@ -97,18 +112,20 @@ func runSpecs(specs []seriesSpec, opts runner.Options) ([]Series, error) {
 		}
 		return nil, err
 	}
-	out := make([]Series, len(specs))
+	out := make([][]runner.Result, len(specs))
 	for si, sp := range specs {
-		out[si] = Series{Name: sp.name, Points: make([]Point, 0, len(sp.xs))}
-	}
-	for i, ref := range refs {
-		out[ref.si].Points = append(out[ref.si].Points, Point{
-			X:        cells[i].X,
-			Fraction: results[i].UsefulWorkFraction,
-			Total:    results[i].TotalUsefulWork,
-		})
+		out[si], results = results[:len(sp.xs)], results[len(sp.xs):]
 	}
 	return out, nil
+}
+
+// estimateCells runs cells as one grid plan, in cell order.
+func estimateCells(cells []blocks.Cell, opts runner.Options) ([]runner.Result, error) {
+	m, err := runner.PlanGrid("experiments", cells, 0, opts)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	return runner.EstimateGrid(context.Background(), m, opts, nil)
 }
 
 // sweep runs a single series — the one-spec convenience over runSpecs for

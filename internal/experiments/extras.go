@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"context"
-
 	"repro/internal/analytic"
 	"repro/internal/cluster"
-	"repro/internal/exec"
 	"repro/internal/model"
-	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/stats"
 )
@@ -16,90 +12,46 @@ import (
 // execution (split into retained and repeated work), checkpointing
 // (quiesce + dump), recovery and reboot shares versus processor count.
 // This quantifies the paper's §7.1 remark that over half the machine is
-// consumed by failure handling at the optimum scale.
+// consumed by failure handling at the optimum scale. The shares are folded
+// from the per-replication metrics of one grid series over procSweep.
 func breakdown(opts runner.Options) ([]Series, error) {
-	opts = fillDefaults(opts)
-	type row struct {
-		useful, repeated, checkpoint, recovery, reboot stats.Accumulator
+	sp := seriesSpec{name: "breakdown", xs: procSweep}
+	for _, x := range procSweep {
+		cfg := baseConfig()
+		cfg.Processors = int(x)
+		sp.cfgs = append(sp.cfgs, cfg)
 	}
-	rows := make([]row, len(procSweep))
-	// Seeds are drawn from the root stream in (cell, replication) order
-	// before dispatch, and the trajectories then fan out as one flat job
-	// grid; the accumulators are filled in the same order afterwards, so
-	// the figure is bit-identical for every worker count.
-	root := rng.New(opts.Seed)
-	seeds := make([]uint64, len(procSweep)*opts.Replications)
-	for j := range seeds {
-		seeds[j] = root.Uint64()
-	}
-	pool := exec.Pool{Workers: exec.WorkerCount(opts.Workers)}
-	metrics, err := exec.Map(context.Background(), pool, len(seeds),
-		func(_ context.Context, j int) (model.Metrics, error) {
-			cfg := baseConfig()
-			cfg.Processors = int(procSweep[j/opts.Replications])
-			in, err := model.New(cfg, seeds[j])
-			if err != nil {
-				return model.Metrics{}, err
-			}
-			return in.RunSteadyState(opts.Warmup, opts.Measure)
-		})
+	results, err := estimateSpecs([]seriesSpec{sp}, opts)
 	if err != nil {
 		return nil, err
 	}
-	for j, m := range metrics {
-		i := j / opts.Replications
-		rows[i].useful.Add(m.UsefulWorkFraction)
-		rows[i].repeated.Add(m.RepeatedWorkFraction)
-		rows[i].checkpoint.Add(m.Breakdown.Quiesce + m.Breakdown.Dump + m.Breakdown.FSWait)
-		rows[i].recovery.Add(m.Breakdown.Recovery)
-		rows[i].reboot.Add(m.Breakdown.Reboot)
-	}
-	series := []struct {
+	shares := []struct {
 		name string
-		pick func(*row) *stats.Accumulator
+		pick func(model.Metrics) float64
 	}{
-		{"useful work", func(r *row) *stats.Accumulator { return &r.useful }},
-		{"repeated work", func(r *row) *stats.Accumulator { return &r.repeated }},
-		{"checkpointing", func(r *row) *stats.Accumulator { return &r.checkpoint }},
-		{"recovery", func(r *row) *stats.Accumulator { return &r.recovery }},
-		{"reboot", func(r *row) *stats.Accumulator { return &r.reboot }},
+		{"useful work", func(m model.Metrics) float64 { return m.UsefulWorkFraction }},
+		{"repeated work", func(m model.Metrics) float64 { return m.RepeatedWorkFraction }},
+		{"checkpointing", func(m model.Metrics) float64 { return m.Breakdown.Quiesce + m.Breakdown.Dump + m.Breakdown.FSWait }},
+		{"recovery", func(m model.Metrics) float64 { return m.Breakdown.Recovery }},
+		{"reboot", func(m model.Metrics) float64 { return m.Breakdown.Reboot }},
 	}
-	var all []Series
-	for _, s := range series {
-		out := Series{Name: s.name, Points: make([]Point, 0, len(procSweep))}
-		for i, procs := range procSweep {
-			acc := s.pick(&rows[i])
-			iv := acc.CI(opts.Confidence)
-			out.Points = append(out.Points, Point{
+	all := make([]Series, len(shares))
+	for k, s := range shares {
+		all[k] = Series{Name: s.name, Points: make([]Point, len(procSweep))}
+		for i, res := range results[0] {
+			fold := opts.VarianceReduction.Fold(res.UsefulWorkFraction.Level)
+			for _, m := range res.PerReplication {
+				fold.Add(s.pick(m))
+			}
+			iv, procs := fold.CI(), procSweep[i]
+			all[k].Points[i] = Point{
 				X:        procs,
 				Fraction: iv,
 				Total:    stats.Interval{Mean: iv.Mean * procs, HalfWide: iv.HalfWide * procs, Level: iv.Level, N: iv.N},
-			})
+			}
 		}
-		all = append(all, out)
 	}
 	return all, nil
-}
-
-// fillDefaults mirrors runner option defaulting for experiments that drive
-// the model directly.
-func fillDefaults(opts runner.Options) runner.Options {
-	if opts.Replications == 0 {
-		opts.Replications = 5
-	}
-	if opts.Warmup == 0 {
-		opts.Warmup = 1000
-	}
-	if opts.Measure == 0 {
-		opts.Measure = 4000
-	}
-	if opts.Confidence == 0 {
-		opts.Confidence = 0.95
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	return opts
 }
 
 // modelError contrasts the full simulation against the classic analytic

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/blocks"
 	"repro/internal/runner"
 	"repro/internal/stats"
 )
@@ -22,38 +23,38 @@ func phaseCheckVariants() []variant {
 // phaseCheck is the phase-accounting self-verification as an
 // experiment: for each model variant it estimates useful work twice from
 // the same trajectories — the reward integral and the phase-span timeline —
-// and reports both as paired series. The claim checker then asserts the
-// pairs agree within CI half-width; ccfigures -report records that
-// verdict in REPORT.md.
+// and reports both as paired series. The variants are one grid plan, every
+// cell on the root seed. The claim checker then asserts the pairs agree
+// within CI half-width; ccfigures -report records that verdict in
+// REPORT.md.
 func phaseCheck(opts runner.Options) ([]Series, error) {
+	opts.VerifySpans = true
+	variants := phaseCheckVariants()
+	cells := make([]blocks.Cell, len(variants))
+	seed := opts.WithDefaults().Seed
+	for i, v := range variants {
+		cells[i] = blocks.Cell{Label: v.name, X: float64(i), Seed: seed, Config: baseConfig()}
+		if err := setParams(&cells[i].Config, "procs=65536 "+v.set); err != nil {
+			return nil, err
+		}
+	}
+	results, err := estimateCells(cells, opts)
+	if err != nil {
+		return nil, err
+	}
 	reward := Series{Name: "reward accounting"}
 	spans := Series{Name: "span accounting"}
-	opts.VerifySpans = true
-	for i, v := range phaseCheckVariants() {
-		cfg := baseConfig()
-		if err := setParams(&cfg, "procs=65536 "+v.set); err != nil {
-			return nil, err
-		}
-		res, err := runner.Estimate(cfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		sc := res.SpanCheck
-		x := float64(i)
-		reward.Points = append(reward.Points, Point{
-			X:        x,
-			Fraction: res.UsefulWorkFraction,
-			Total:    res.TotalUsefulWork,
-		})
+	for i, res := range results {
+		x, iv := cells[i].X, res.UsefulWorkFraction
+		reward.Points = append(reward.Points, Point{X: x, Fraction: iv, Total: res.TotalUsefulWork})
 		// The span series reuses the reward CI metadata: both derivations
 		// see the same trajectories, so the sampling uncertainty is
 		// identical and only the mean can differ (by accounting error,
 		// which is what the claim bounds).
-		iv := res.UsefulWorkFraction
 		spans.Points = append(spans.Points, Point{
 			X:        x,
-			Fraction: stats.Interval{Mean: sc.SpanMean, HalfWide: iv.HalfWide, Level: iv.Level, N: iv.N},
-			Total:    stats.Interval{Mean: sc.SpanMean * float64(cfg.Processors), HalfWide: res.TotalUsefulWork.HalfWide, Level: iv.Level, N: iv.N},
+			Fraction: stats.Interval{Mean: res.SpanCheck.SpanMean, HalfWide: iv.HalfWide, Level: iv.Level, N: iv.N},
+			Total:    stats.Interval{Mean: res.SpanCheck.SpanMean * float64(cells[i].Config.Processors), HalfWide: res.TotalUsefulWork.HalfWide, Level: iv.Level, N: iv.N},
 		})
 	}
 	return []Series{reward, spans}, nil

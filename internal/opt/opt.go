@@ -9,8 +9,8 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/blocks"
 	"repro/internal/cluster"
-	"repro/internal/exec"
 	"repro/internal/runner"
 	"repro/internal/stats"
 )
@@ -80,37 +80,31 @@ func OptimalTimeout(base cluster.Config, candidates []float64, opts runner.Optio
 	return search(base, candidates, mutate, maxFraction, opts)
 }
 
-// search evaluates every candidate as one job on the worker pool
-// (opts.Workers wide; candidate seeds are derived from the candidate index
-// alone, so the sweep is deterministic for any worker count) and ranks by
-// the objective mean. A journal is rejected: the candidates' estimates
-// would write into it concurrently, in scheduling order and unlabelled.
+// search evaluates every candidate as one cell of a grid plan
+// (runner.PlanGrid → runner.EstimateGrid, opts.Workers cells at a time;
+// candidate seeds are derived from the candidate index alone, so the sweep
+// is deterministic for any worker count) and ranks by the objective mean.
+// A journal is rejected by EstimateGrid: the candidates' estimates would
+// write into it concurrently, in scheduling order.
 func search(base cluster.Config, xs []float64,
 	mutate func(*cluster.Config, float64), obj objective, opts runner.Options) (Search, error) {
-	if opts.Journal != nil {
-		return Search{}, fmt.Errorf("opt: Options.Journal is not supported (candidates run concurrently)")
+	seedBase := opts.WithDefaults().Seed
+	cells := make([]blocks.Cell, len(xs))
+	for i, x := range xs {
+		cells[i] = blocks.Cell{Label: fmt.Sprintf("candidate %g", x), X: x, Seed: seedBase*1000003 + uint64(i)*7919, Config: base}
+		mutate(&cells[i].Config, x)
 	}
-	seedBase := opts.Seed
-	if seedBase == 0 {
-		seedBase = 1
-	}
-	pool := exec.Pool{Workers: exec.WorkerCount(opts.Workers)}
-	points, err := exec.Map(context.Background(), pool, len(xs),
-		func(_ context.Context, i int) (Point, error) {
-			cfg := base
-			mutate(&cfg, xs[i])
-			o := opts
-			o.Seed = seedBase*1000003 + uint64(i)*7919
-			o.Workers = 1 // the candidate sweep is already parallel
-			o.Progress = nil
-			res, err := runner.Estimate(cfg, o)
-			if err != nil {
-				return Point{}, fmt.Errorf("opt: candidate %v: %w", xs[i], err)
-			}
-			return Point{X: xs[i], Fraction: res.UsefulWorkFraction, Total: res.TotalUsefulWork}, nil
-		})
+	m, err := runner.PlanGrid("opt", cells, 0, opts)
 	if err != nil {
-		return Search{}, err
+		return Search{}, fmt.Errorf("opt: %w", err)
+	}
+	results, err := runner.EstimateGrid(context.Background(), m, opts, nil)
+	if err != nil {
+		return Search{}, fmt.Errorf("opt: %w", err)
+	}
+	points := make([]Point, len(xs))
+	for i, res := range results {
+		points[i] = Point{X: xs[i], Fraction: res.UsefulWorkFraction, Total: res.TotalUsefulWork}
 	}
 	out := Search{Points: points}
 	bestIdx, runnerUp := -1, -1

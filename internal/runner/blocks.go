@@ -26,7 +26,7 @@ import (
 // records the values that actually run). blockSize ≤ 0 plans one block
 // per replication — the finest claiming granularity.
 func PlanGrid(name string, cells []blocks.Cell, blockSize int, opts Options) (*blocks.Manifest, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -81,7 +81,7 @@ func BlockRunner(workers int, metrics *obs.Registry) blocks.RunFunc {
 			Label:             cell.Label,
 			VarianceReduction: m.VR,
 			forceSim:          true,
-		}.withDefaults()
+		}.WithDefaults()
 		start := time.Now()
 		outs, err := runBlock(ctx, cell.Config, b, opts)
 		if err != nil {
@@ -151,17 +151,28 @@ func (e *CellError) Unwrap() error { return e.Err }
 // EstimateGrid runs every cell of an estimate manifest inside this
 // process — monolithic mode: the plan is claimed whole and reduced in
 // manifest order, no run directory involved. Cells fan out on an exec
-// pool with opts.Workers workers; each cell's replications run
-// sequentially inside its job, so the grid is the unit of parallelism and
-// results are bit-identical for every worker count. cellOpts, when
-// non-nil, refines the per-cell Options after the manifest values are
-// applied — sweeps use it to attach per-cell journals and labels. Cell
-// failures are reported as *CellError.
+// pool with opts.Workers workers; each cell runs as one block of the seeds
+// the manifest planned for it, sequentially inside its job, so the grid is
+// the unit of parallelism and results are bit-identical for every worker
+// count and to BlockRunner's. cellOpts, when non-nil, refines the per-cell
+// Options after the manifest values are applied — sweeps use it to attach
+// per-cell journals and labels. A journal in opts is refused: cells
+// complete in scheduling order, so one journal shared across cells would
+// interleave nondeterministically. Cell failures are reported as
+// *CellError.
 func EstimateGrid(ctx context.Context, m *blocks.Manifest, opts Options, cellOpts func(ci int, o Options) Options) ([]Result, error) {
 	if m.Kind != blocks.KindEstimate {
 		return nil, fmt.Errorf("runner: cannot estimate %q manifest", m.Kind)
 	}
-	opts = opts.withDefaults()
+	if opts.Journal != nil {
+		return nil, fmt.Errorf("runner: a grid cannot share Options.Journal across its cells (attach per-cell journals through cellOpts)")
+	}
+	whole := make([]blocks.Block, len(m.Cells))
+	for _, b := range m.Blocks {
+		whole[b.CellIndex].CellIndex = b.CellIndex
+		whole[b.CellIndex].Seeds = append(whole[b.CellIndex].Seeds, b.Seeds...)
+	}
+	opts = opts.WithDefaults()
 	p := exec.Pool{Workers: exec.WorkerCount(opts.Workers), Metrics: opts.Metrics}
 	return exec.Map(ctx, p, len(m.Cells), func(ctx context.Context, ci int) (Result, error) {
 		cell := m.Cells[ci]
@@ -175,14 +186,10 @@ func EstimateGrid(ctx context.Context, m *blocks.Manifest, opts Options, cellOpt
 		o.VarianceReduction = m.VR
 		o.Workers = 1 // the grid is already parallel; don't oversubscribe
 		o.Progress = nil
-		// Cells complete in scheduling order, so a journal shared across
-		// cells would interleave nondeterministically; cellOpts may attach a
-		// per-cell journal (ccsweep buffers one per row).
-		o.Journal = nil
 		if cellOpts != nil {
 			o = cellOpts(ci, o)
 		}
-		res, err := EstimateContext(ctx, cell.Config, o)
+		res, _, err := estimateBlock(ctx, cell.Config, whole[ci], o)
 		if err != nil {
 			return Result{}, &CellError{Index: ci, Label: cell.Label, X: cell.X, Err: err}
 		}

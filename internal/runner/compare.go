@@ -67,7 +67,7 @@ func CompareContext(ctx context.Context, a, b cluster.Config, opts Options) (Com
 		// reflected leg to run and no pair means to fold.
 		return Comparison{}, fmt.Errorf("runner: Compare cannot run %s variance reduction (it pairs A with B on common random numbers; use SyncReport)", opts.VarianceReduction)
 	}
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	if err := opts.Validate(); err != nil {
 		return Comparison{}, err
 	}

@@ -128,8 +128,10 @@ type Progress struct {
 	Final bool
 }
 
-// withDefaults fills unset fields.
-func (o Options) withDefaults() Options {
+// WithDefaults fills unset fields with the values an estimate runs.
+// Callers that derive cell seeds from Seed default it first, so a zero
+// seed means what it means to Estimate.
+func (o Options) WithDefaults() Options {
 	if o.Replications == 0 {
 		o.Replications = 5
 	}
@@ -232,7 +234,7 @@ func Estimate(cfg cluster.Config, opts Options) (Result, error) {
 // EstimateContext is Estimate with cancellation: when ctx is cancelled no
 // further replications start and the context error is returned.
 func EstimateContext(ctx context.Context, cfg cluster.Config, opts Options) (Result, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}

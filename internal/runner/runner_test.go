@@ -75,7 +75,7 @@ func TestReplicationsDiffer(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	o := Options{}.withDefaults()
+	o := Options{}.WithDefaults()
 	if o.Replications != 5 || o.Warmup != 1000 || o.Measure != 4000 || o.Confidence != 0.95 || o.Seed != 1 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}

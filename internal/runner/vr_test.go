@@ -98,7 +98,7 @@ func TestAntitheticWorkerInvariance(t *testing.T) {
 	}
 }
 
-// An odd replication count cannot form pairs; withDefaults completes the
+// An odd replication count cannot form pairs; WithDefaults completes the
 // last pair instead of erroring.
 func TestAntitheticOddReplicationsRoundUp(t *testing.T) {
 	o := vrOpts()

@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/blocks"
 	"repro/internal/cluster"
-	"repro/internal/exec"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/vr"
@@ -93,18 +93,16 @@ func (a Analysis) MostSensitive() Parameter {
 }
 
 // Analyze perturbs each parameter by the given relative factor (> 0,
-// ≠ 1, e.g. 1.2) and estimates the response with paired replications: the
-// base configuration is estimated once, each perturbed one on the same
-// seeds, and each effect folds the per-replication differences
-// (perturbed − base). A journal is rejected: the parameters' estimates
-// would write into it concurrently, in scheduling order. So is variance
-// reduction: the pairing is with the base, not within a configuration.
+// ≠ 1, e.g. 1.2) and estimates the response with paired replications: one
+// grid plan whose cell 0 is the base configuration and whose other cells
+// are the perturbed ones, all on the base's seed, and each effect folds
+// the per-replication differences (perturbed − base). A journal is
+// rejected by EstimateGrid: the cells would write into it concurrently, in
+// scheduling order. So is variance reduction: the pairing is with the
+// base, not within a configuration.
 func Analyze(cfg cluster.Config, params []Parameter, factor float64, opts runner.Options) (Analysis, error) {
 	if factor <= 0 || factor == 1 {
 		return Analysis{}, fmt.Errorf("sensitivity: factor %v must be positive and ≠ 1", factor)
-	}
-	if opts.Journal != nil {
-		return Analysis{}, fmt.Errorf("sensitivity: Options.Journal is not supported (estimates run concurrently)")
 	}
 	if opts.VarianceReduction != vr.ModeNone {
 		return Analysis{}, fmt.Errorf("sensitivity: %s variance reduction is not supported (each effect pairs a perturbed estimate with the base on common random numbers)", opts.VarianceReduction)
@@ -112,45 +110,35 @@ func Analyze(cfg cluster.Config, params []Parameter, factor float64, opts runner
 	if len(params) == 0 {
 		params = AllParameters()
 	}
-	// The base estimate can use the full worker budget (it runs alone);
-	// the perturbed estimates then fan out one job per parameter.
-	base, err := runner.Estimate(cfg, opts)
-	if err != nil {
-		return Analysis{}, err
+	seed := opts.WithDefaults().Seed
+	cells := []blocks.Cell{{Label: "base", Seed: seed, Config: cfg}}
+	for _, p := range params {
+		perturbed, err := apply(cfg, p, factor)
+		if err != nil {
+			return Analysis{}, err
+		}
+		cells = append(cells, blocks.Cell{Label: fmt.Sprintf("%s×%v", p, factor), Seed: seed, Config: perturbed})
 	}
-	out := Analysis{BaseFraction: base.UsefulWorkFraction}
-	pool := exec.Pool{Workers: exec.WorkerCount(opts.Workers)}
-	out.Effects, err = exec.Map(context.Background(), pool, len(params),
-		func(_ context.Context, i int) (Effect, error) {
-			p := params[i]
-			perturbed, err := apply(cfg, p, factor)
-			if err != nil {
-				return Effect{}, err
-			}
-			if err := perturbed.Validate(); err != nil {
-				return Effect{}, fmt.Errorf("sensitivity: %s×%v: %w", p, factor, err)
-			}
-			o := opts
-			o.Workers = 1 // the parameter fan-out is already parallel
-			o.Progress = nil
-			res, err := runner.Estimate(perturbed, o)
-			if err != nil {
-				return Effect{}, err
-			}
-			diff := stats.NewFold(base.UsefulWorkFraction.Level, false)
-			for r, m := range res.PerReplication {
-				diff.Add(m.UsefulWorkFraction - base.PerReplication[r].UsefulWorkFraction)
-			}
-			eff := Effect{Parameter: p, Factor: factor, FractionDiff: diff.CI()}
-			if f := base.UsefulWorkFraction.Mean; f > 0 {
-				relF := eff.FractionDiff.Mean / f
-				relP := factor - 1
-				eff.Elasticity = relF / relP
-			}
-			return eff, nil
-		})
+	m, err := runner.PlanGrid("sensitivity", cells, 0, opts)
 	if err != nil {
-		return Analysis{}, err
+		return Analysis{}, fmt.Errorf("sensitivity: %w", err)
+	}
+	results, err := runner.EstimateGrid(context.Background(), m, opts, nil)
+	if err != nil {
+		return Analysis{}, fmt.Errorf("sensitivity: %w", err)
+	}
+	base := results[0]
+	out := Analysis{BaseFraction: base.UsefulWorkFraction, Effects: make([]Effect, len(params))}
+	for i, p := range params {
+		diff := stats.NewFold(base.UsefulWorkFraction.Level, false)
+		for r, m := range results[i+1].PerReplication {
+			diff.Add(m.UsefulWorkFraction - base.PerReplication[r].UsefulWorkFraction)
+		}
+		eff := Effect{Parameter: p, Factor: factor, FractionDiff: diff.CI()}
+		if f := base.UsefulWorkFraction.Mean; f > 0 {
+			eff.Elasticity = eff.FractionDiff.Mean / f / (factor - 1)
+		}
+		out.Effects[i] = eff
 	}
 	sort.Slice(out.Effects, func(i, j int) bool {
 		return abs(out.Effects[i].Elasticity) > abs(out.Effects[j].Elasticity)

@@ -16,22 +16,14 @@ type Accumulator struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64 // written, never read: see ROADMAP "Less code elsewhere"
 	max  float64
 }
 
 // Add incorporates one observation.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
+	if a.n == 1 || x > a.max {
+		a.max = x
 	}
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)

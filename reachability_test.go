@@ -95,6 +95,9 @@ type reachReport struct {
 	Where map[string]string
 	// Tests are the Test functions declared in the tree's test files.
 	Tests map[string]bool
+	// Importers are, for each internal package, the import paths of the
+	// non-test packages of the tree that import it, sorted.
+	Importers map[string][]string
 }
 
 // reachDecl is one package-level function, method or named type of the
@@ -275,7 +278,7 @@ type reachPkg struct {
 // package counts as imported only by a non-test file of this module
 // outside itself.
 func scanReach(root string, allow map[string]string) (reachReport, error) {
-	rep := reachReport{Tests: map[string]bool{}, Where: map[string]string{}}
+	rep := reachReport{Tests: map[string]bool{}, Where: map[string]string{}, Importers: map[string][]string{}}
 	modulePath := func(dir string) (string, error) {
 		mod, err := os.ReadFile(filepath.Join(dir, "go.mod"))
 		if err != nil {
@@ -389,7 +392,13 @@ func scanReach(root string, allow map[string]string) (reachReport, error) {
 			if pkgs[ip] == nil && ip != "unsafe" {
 				std[ip] = true
 			}
+			if q, ok := strings.CutPrefix(ip, internalPrefix); ok {
+				rep.Importers[q] = append(rep.Importers[q], p.path)
+			}
 		}
+	}
+	for _, ps := range rep.Importers {
+		sort.Strings(ps)
 	}
 	exports := map[string]string{}
 	if len(std) > 0 {
@@ -630,15 +639,30 @@ func TestEveryInternalDeclarationReached(t *testing.T) {
 	}
 }
 
+// TestExecHasOneImporter keeps the grid plan the one fan-out of
+// estimates: the internal/exec worker pool has exactly one non-test
+// importer, internal/runner, so every multi-cell estimate (figures,
+// sweeps, optimum searches, sensitivity analysis) runs through
+// runner.PlanGrid and runner.EstimateGrid.
+func TestExecHasOneImporter(t *testing.T) {
+	rep, err := scanReach(".", reachAllow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(rep.Importers["exec"], " "), "repro/internal/runner"; got != want {
+		t.Errorf("internal/exec is imported by %q, want only %q: fan estimates out through runner.PlanGrid and runner.EstimateGrid", got, want)
+	}
+}
+
 // TestReachabilityGateBites keeps the gate from passing vacuously: on the
 // fixture module in testdata/reach it reports exactly the unreached C, the
 // D only C reaches, the E and F whose names only another package's reached
 // function and method share, the type V whose method G shares only a
 // reached method's name, the type Y that only a blank interface assertion
 // mentions (with its H, though an interface call reaches the H of the
-// reached K), and the stale entry, each at its file:line; it refuses a
-// reason that names no owner, and it reports an unimported package once
-// that package's entry is gone.
+// reached K), and the stale entry, each at its file:line, and lib's one
+// importer; it refuses a reason that names no owner, and it reports an
+// unimported package once that package's entry is gone.
 func TestReachabilityGateBites(t *testing.T) {
 	allow := map[string]string{
 		"orphan":   "kept to test the package rule",
@@ -657,6 +681,9 @@ func TestReachabilityGateBites(t *testing.T) {
 		if rep.Where[key] != want {
 			t.Errorf("%s reported at %q, want %q", key, rep.Where[key], want)
 		}
+	}
+	if got := strings.Join(rep.Importers["lib"], " "); got != "reach" {
+		t.Errorf("lib importers %q, want %q", got, "reach")
 	}
 	tests := map[string]bool{"TestUsesIt": true}
 	for reason, owned := range map[string]bool{
