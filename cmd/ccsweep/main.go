@@ -109,7 +109,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if err := cluster.RejectZeroFlags(fs, map[string]string{
-		"reps": "5 replications", "warmup": "1000 h warmup", "measure": "4000 h measure", "seed": "seed 1 for the first row",
+		"reps": "5 replications", "warmup": "1000 h warmup", "measure": "4000 h measure",
 	}); err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -183,11 +184,22 @@ func TestSweepListScenarios(t *testing.T) {
 // would silently have run instead.
 func TestExplicitZeroRunFlagRefused(t *testing.T) {
 	for name, def := range map[string]string{
-		"reps": "5 replications", "warmup": "1000 h warmup", "measure": "4000 h measure", "seed": "seed 1 for the first row",
+		"reps": "5 replications", "warmup": "1000 h warmup", "measure": "4000 h measure",
 	} {
 		err := run([]string{"-param", "procs", "-values", "8192", "-" + name, "0"}, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "-"+name+" 0 would run the default "+def) {
 			t.Errorf("-%s 0: err = %v", name, err)
 		}
+	}
+	// The rows run the cell seeds the plan derives from -seed as given, so
+	// seed 0 is a seed like any other.
+	var out [2]strings.Builder
+	for seed := range out {
+		if err := run(quickArgs("-param", "procs", "-values", "8192", "-seed", strconv.Itoa(seed)), &out[seed]); err != nil {
+			t.Fatalf("-seed %d: %v", seed, err)
+		}
+	}
+	if out[0].String() == out[1].String() {
+		t.Errorf("-seed 0 ran what -seed 1 runs:\n%s", out[0].String())
 	}
 }

@@ -3,45 +3,42 @@ package cluster
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
 
-// param is one entry of the named-parameter vocabulary: a user-facing
-// name (with its unit), its flag help text, how to read it off a Config
-// (an int, float64, string or bool in the name's unit) and how a textual
-// value sets it.
+// param is one entry of the configuration vocabulary, the one
+// description of a Config field: a user-facing name (with its unit), the
+// config-file key that holds the same value in the same unit ("" for a
+// derived name no file holds; "block.key" for a key of a nested block),
+// its flag help text, how to read it off a Config (an int, float64,
+// string or bool in the name's unit) and how a textual value sets it.
 type param struct {
-	name, help string
-	get        func(c Config) any
-	set        func(c *Config, value string) error
+	name, key, help string
+	get             func(c Config) any
+	set             func(c *Config, value string) error
 }
 
-// params is the named-parameter vocabulary: the figure table of
+// params is the configuration vocabulary: the figure table of
 // internal/experiments declares its bases, series and x axes in it,
-// ccsweep sweeps any of its numeric names, and the CLIs declare their
-// configuration flags from it (DeclareFlags). Order is the order
-// ParamNames lists.
+// ccsweep sweeps any of its numeric names, the CLIs declare their
+// configuration flags from it (DeclareFlags) and config files are read
+// and written through it (Load, Save). Order is the order ParamNames
+// lists.
 var params = []param{
-	{"procs", "total compute processors",
-		func(c Config) any { return c.Processors }, number(func(c *Config, v float64) { c.Processors = int(v) })},
-	{"procs-per-node", "processors per node",
-		func(c Config) any { return c.ProcsPerNode }, number(func(c *Config, v float64) { c.ProcsPerNode = int(v) })},
+	intParam("procs", "processors", "total compute processors", func(c *Config) *int { return &c.Processors }),
+	intParam("procs-per-node", "procsPerNode", "processors per node", func(c *Config) *int { return &c.ProcsPerNode }),
 	// nodes sets the processor count from a node count at the current
 	// processors per node, so set procs-per-node first.
-	{"nodes", "compute nodes (sets procs at the current procs-per-node)",
-		func(c Config) any { return c.Nodes() }, number(func(c *Config, v float64) { c.Processors = int(v) * c.ProcsPerNode })},
-	{"mttf-years", "per-node MTTF in years",
-		func(c Config) any { return c.MTTFPerNode / HoursPerYear }, number(func(c *Config, v float64) { c.MTTFPerNode = Years(v) })},
-	{"mttr-min", "system MTTR in minutes",
-		func(c Config) any { return c.MTTR * SecondsPerHour / 60 }, number(func(c *Config, v float64) { c.MTTR = Minutes(v) })},
-	{"interval-min", "checkpoint interval in minutes",
-		func(c Config) any { return c.CheckpointInterval * SecondsPerHour / 60 }, number(func(c *Config, v float64) { c.CheckpointInterval = Minutes(v) })},
-	{"mttq-sec", "per-node mean time to quiesce in seconds",
-		func(c Config) any { return c.MTTQ * SecondsPerHour }, number(func(c *Config, v float64) { c.MTTQ = Seconds(v) })},
-	{"timeout-sec", "coordination timeout in seconds (0 = none)",
-		func(c Config) any { return c.Timeout * SecondsPerHour }, number(func(c *Config, v float64) { c.Timeout = Seconds(v) })},
-	{"coordination", "coordination mode: fixed, none, max-of-n",
+	{"nodes", "", "compute nodes (sets procs at the current procs-per-node)",
+		func(c Config) any { return c.Nodes() }, whole(func(c *Config, v int) { c.Processors = v * c.ProcsPerNode })},
+	floatParam("mttf-years", "mttfYears", "per-node MTTF in years", years, func(c *Config) *float64 { return &c.MTTFPerNode }),
+	floatParam("mttr-min", "mttrMinutes", "system MTTR in minutes", minutes, func(c *Config) *float64 { return &c.MTTR }),
+	floatParam("interval-min", "intervalMinutes", "checkpoint interval in minutes", minutes, func(c *Config) *float64 { return &c.CheckpointInterval }),
+	floatParam("mttq-sec", "mttqSeconds", "per-node mean time to quiesce in seconds", seconds, func(c *Config) *float64 { return &c.MTTQ }),
+	floatParam("timeout-sec", "timeoutSeconds", "coordination timeout in seconds (0 = none)", seconds, func(c *Config) *float64 { return &c.Timeout }),
+	{"coordination", "coordination", "coordination mode: fixed, none, max-of-n",
 		func(c Config) any { return c.Coordination.String() }, func(c *Config, v string) error {
 			mode, err := ParseCoordination(v)
 			if err == nil {
@@ -49,40 +46,104 @@ var params = []param{
 			}
 			return err
 		}},
-	{"pe", "probability of correlated failure (error propagation)",
-		func(c Config) any { return c.ProbCorrelated }, number(func(c *Config, v float64) { c.ProbCorrelated = v })},
-	{"r", "correlated failure rate factor",
-		func(c Config) any { return c.CorrelatedFactor }, number(func(c *Config, v float64) { c.CorrelatedFactor = v })},
-	{"alpha", "generic correlated failure coefficient",
-		func(c Config) any { return c.GenericCorrelatedCoefficient }, number(func(c *Config, v float64) { c.GenericCorrelatedCoefficient = v })},
-	{"straggler-fraction", "share of processors whose quiesce is slow (0 = none)",
-		func(c Config) any { return c.StragglerFraction }, number(func(c *Config, v float64) { c.StragglerFraction = v })},
-	{"straggler-mttq-mult", "stragglers' mean quiesce time as a multiple of MTTQ",
-		func(c Config) any { return c.StragglerMTTQMultiplier }, number(func(c *Config, v float64) { c.StragglerMTTQMultiplier = v })},
-	{"blocking-write", "block computation until the checkpoint reaches the file system",
-		func(c Config) any { return c.BlockingCheckpointWrite }, boolean(func(c *Config, v bool) { c.BlockingCheckpointWrite = v })},
-	{"no-buffered-recovery", "always recover from the file-system checkpoint, never the I/O-node buffer",
-		func(c Config) any { return c.NoBufferedRecovery }, boolean(func(c *Config, v bool) { c.NoBufferedRecovery = v })},
+	floatParam("pe", "probCorrelated", "probability of correlated failure (error propagation)", plain, func(c *Config) *float64 { return &c.ProbCorrelated }),
+	floatParam("r", "correlatedFactor", "correlated failure rate factor", plain, func(c *Config) *float64 { return &c.CorrelatedFactor }),
+	floatParam("alpha", "genericCorrelatedCoefficient", "generic correlated failure coefficient", plain, func(c *Config) *float64 { return &c.GenericCorrelatedCoefficient }),
+	floatParam("straggler-fraction", "stragglerFraction", "share of processors whose quiesce is slow (0 = none)", plain, func(c *Config) *float64 { return &c.StragglerFraction }),
+	floatParam("straggler-mttq-mult", "stragglerMttqMultiplier", "stragglers' mean quiesce time as a multiple of MTTQ", plain, func(c *Config) *float64 { return &c.StragglerMTTQMultiplier }),
+	boolParam("blocking-write", "blockingCheckpointWrite", "block computation until the checkpoint reaches the file system", func(c *Config) *bool { return &c.BlockingCheckpointWrite }),
+	boolParam("no-buffered-recovery", "noBufferedRecovery", "always recover from the file-system checkpoint, never the I/O-node buffer", func(c *Config) *bool { return &c.NoBufferedRecovery }),
+	intParam("compute-per-io-node", "computePerIONode", "compute nodes sharing one I/O node", func(c *Config) *int { return &c.ComputePerIONode }),
+	floatParam("io-mttr-min", "ioMttrMinutes", "I/O-node restart time in minutes", minutes, func(c *Config) *float64 { return &c.MTTRIONodes }),
+	floatParam("reboot-hours", "rebootHours", "whole-system reboot time in hours", plain, func(c *Config) *float64 { return &c.RebootTime }),
+	intParam("severe-threshold", "severeFailureThreshold", "consecutive failed recoveries that reboot the system", func(c *Config) *int { return &c.SevereFailureThreshold }),
+	floatParam("broadcast-ms", "broadcastMillis", "master broadcast latency plus send overhead in milliseconds", millis, func(c *Config) *float64 { return &c.BroadcastOverhead }),
+	floatParam("cycle-min", "cyclePeriodMinutes", "application compute/IO cycle period in minutes", minutes, func(c *Config) *float64 { return &c.IOComputeCyclePeriod }),
+	floatParam("compute-fraction", "computeFraction", "share of the application cycle spent computing", plain, func(c *Config) *float64 { return &c.ComputeFraction }),
+	floatParam("io-node-mbps", "bandwidthToIONodeMBps", "bandwidth from a node group to its I/O node in MB/s", mbPerSecond, func(c *Config) *float64 { return &c.BandwidthToIONode }),
+	floatParam("fs-mbps", "bandwidthIOToFSMBps", "file-system bandwidth per I/O node in MB/s", mbPerSecond, func(c *Config) *float64 { return &c.BandwidthIOToFS }),
+	floatParam("checkpoint-mb", "checkpointSizeMB", "checkpoint size per compute node in MB", megabytes, func(c *Config) *float64 { return &c.CheckpointSizePerNode }),
+	floatParam("io-data-mb", "ioDataMB", "application data per node per I/O phase in MB", megabytes, func(c *Config) *float64 { return &c.IODataPerNode }),
+	floatParam("window-min", "correlatedWindowMinutes", "correlated failure window in minutes", minutes, func(c *Config) *float64 { return &c.CorrelatedWindow }),
+	{"failure-dist", "failureModel.dist", "failure inter-arrival distribution: exponential, weibull",
+		func(c Config) any { return c.FailureDist.String() }, func(c *Config, v string) error {
+			for _, d := range []FailureDistribution{FailureExponential, FailureWeibull} {
+				if d.String() == v {
+					c.FailureDist = d
+					return nil
+				}
+			}
+			return fmt.Errorf("unknown failure distribution %q", v)
+		}},
+	floatParam("failure-shape", "failureModel.shape", "Weibull shape parameter (weibull only)", plain, func(c *Config) *float64 { return &c.FailureShape }),
+	boolParam("no-io-failures", "noIOFailures", "remove the I/O-node failure process", func(c *Config) *bool { return &c.NoIOFailures }),
+	floatParam("p-permanent", "probPermanentFailure", "probability that a compute failure is permanent (0 = none)", plain, func(c *Config) *float64 { return &c.ProbPermanentFailure }),
+	floatParam("reconfig-min", "reconfigurationMinutes", "reconfiguration time after a permanent failure in minutes", minutes, func(c *Config) *float64 { return &c.ReconfigurationTime }),
+	floatParam("incremental-fraction", "incrementalFraction", "incremental checkpoint size relative to a full one (0 = none)", plain, func(c *Config) *float64 { return &c.IncrementalFraction }),
+	intParam("full-every", "fullCheckpointEvery", "every k-th checkpoint is full (with incremental-fraction)", func(c *Config) *int { return &c.FullCheckpointEvery }),
+	floatParam("prediction-accuracy", "failurePredictionAccuracy", "probability that a compute failure is predicted and migrated away (0 = none)", plain, func(c *Config) *float64 { return &c.FailurePredictionAccuracy }),
+	floatParam("migration-min", "migrationMinutes", "proactive migration pause in minutes", minutes, func(c *Config) *float64 { return &c.MigrationTime }),
+	boolParam("adaptive-interval", "adaptiveInterval", "retune the checkpoint interval from the observed failure rate", func(c *Config) *bool { return &c.AdaptiveInterval }),
+	floatParam("adaptive-floor-min", "adaptiveIntervalMinMinutes", "adaptive interval lower bound in minutes", minutes, func(c *Config) *float64 { return &c.AdaptiveIntervalMin }),
+	floatParam("adaptive-ceiling-min", "adaptiveIntervalMaxMinutes", "adaptive interval upper bound in minutes", minutes, func(c *Config) *float64 { return &c.AdaptiveIntervalMax }),
 }
 
-func number(set func(*Config, float64)) func(*Config, string) error {
+// unit converts a name's unit to the model's (hours, bytes, bytes/hour)
+// and back.
+type unit struct{ to, from func(float64) float64 }
+
+var (
+	plain       = unit{func(v float64) float64 { return v }, func(v float64) float64 { return v }}
+	years       = unit{Years, func(h float64) float64 { return h / HoursPerYear }}
+	minutes     = unit{Minutes, func(h float64) float64 { return h * SecondsPerHour / 60 }}
+	seconds     = unit{Seconds, func(h float64) float64 { return h * SecondsPerHour }}
+	millis      = unit{func(ms float64) float64 { return Seconds(ms / 1000) }, func(h float64) float64 { return h * SecondsPerHour * 1000 }}
+	megabytes   = unit{func(mb float64) float64 { return mb * MB }, func(b float64) float64 { return b / MB }}
+	mbPerSecond = unit{func(v float64) float64 { return v * MB * SecondsPerHour }, func(bh float64) float64 { return bh / MB / SecondsPerHour }}
+)
+
+func floatParam(name, key, help string, u unit, field func(*Config) *float64) param {
+	return param{name, key, help, func(c Config) any { return u.from(*field(&c)) }, func(c *Config, s string) error {
+		v, err := strconv.ParseFloat(s, 64)
+		h := u.to(v)
+		if err == nil && (math.IsInf(h, 0) || math.IsNaN(h)) {
+			err = fmt.Errorf("%s is not a finite %s", s, name)
+		}
+		if err == nil {
+			*field(c) = h
+		}
+		return err
+	}}
+}
+
+func intParam(name, key, help string, field func(*Config) *int) param {
+	return param{name, key, help, func(c Config) any { return *field(&c) }, whole(func(c *Config, v int) { *field(c) = v })}
+}
+
+// whole parses an integer-valued number ("8192", "1e+06"); a fraction is
+// an error, not a truncation, and so is a magnitude beyond 2^53, where a
+// float64 no longer holds every integer.
+func whole(set func(*Config, int)) func(*Config, string) error {
 	return func(c *Config, s string) error {
 		v, err := strconv.ParseFloat(s, 64)
+		if err == nil && (v != math.Trunc(v) || math.Abs(v) > 1<<53) {
+			err = fmt.Errorf("%s is not an integer", s)
+		}
 		if err == nil {
-			set(c, v)
+			set(c, int(v))
 		}
 		return err
 	}
 }
 
-func boolean(set func(*Config, bool)) func(*Config, string) error {
-	return func(c *Config, s string) error {
+func boolParam(name, key, help string, field func(*Config) *bool) param {
+	return param{name, key, help, func(c Config) any { return *field(&c) }, func(c *Config, s string) error {
 		v, err := strconv.ParseBool(s)
 		if err == nil {
-			set(c, v)
+			*field(c) = v
 		}
 		return err
-	}
+	}}
 }
 
 // ParamNames lists the named-parameter vocabulary SetParam accepts.

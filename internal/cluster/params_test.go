@@ -58,6 +58,30 @@ func TestSetParamVocabulary(t *testing.T) {
 		{"straggler-mttq-mult", "10", func(c Config) bool { return c.StragglerMTTQMultiplier == 10 }},
 		{"blocking-write", "true", func(c Config) bool { return c.BlockingCheckpointWrite }},
 		{"no-buffered-recovery", "true", func(c Config) bool { return c.NoBufferedRecovery }},
+		{"compute-per-io-node", "32", func(c Config) bool { return c.ComputePerIONode == 32 }},
+		{"io-mttr-min", "2", func(c Config) bool { return c.MTTRIONodes == Minutes(2) }},
+		{"reboot-hours", "2.5", func(c Config) bool { return c.RebootTime == 2.5 }},
+		{"severe-threshold", "25", func(c Config) bool { return c.SevereFailureThreshold == 25 }},
+		{"broadcast-ms", "4", func(c Config) bool { return c.BroadcastOverhead == Seconds(0.004) }},
+		{"cycle-min", "6", func(c Config) bool { return c.IOComputeCyclePeriod == Minutes(6) }},
+		{"compute-fraction", "0.88", func(c Config) bool { return c.ComputeFraction == 0.88 }},
+		{"io-node-mbps", "700", func(c Config) bool { return c.BandwidthToIONode == 700*MB*SecondsPerHour }},
+		{"fs-mbps", "250", func(c Config) bool { return c.BandwidthIOToFS == 250*MB*SecondsPerHour }},
+		{"checkpoint-mb", "512", func(c Config) bool { return c.CheckpointSizePerNode == 512*MB }},
+		{"io-data-mb", "20", func(c Config) bool { return c.IODataPerNode == 20*MB }},
+		{"window-min", "6", func(c Config) bool { return c.CorrelatedWindow == Minutes(6) }},
+		{"failure-dist", "weibull", func(c Config) bool { return c.FailureDist == FailureWeibull }},
+		{"failure-shape", "0.7", func(c Config) bool { return c.FailureShape == 0.7 }},
+		{"no-io-failures", "true", func(c Config) bool { return c.NoIOFailures }},
+		{"p-permanent", "0.25", func(c Config) bool { return c.ProbPermanentFailure == 0.25 }},
+		{"reconfig-min", "45", func(c Config) bool { return c.ReconfigurationTime == Minutes(45) }},
+		{"incremental-fraction", "0.2", func(c Config) bool { return c.IncrementalFraction == 0.2 }},
+		{"full-every", "4", func(c Config) bool { return c.FullCheckpointEvery == 4 }},
+		{"prediction-accuracy", "0.7", func(c Config) bool { return c.FailurePredictionAccuracy == 0.7 }},
+		{"migration-min", "2", func(c Config) bool { return c.MigrationTime == Minutes(2) }},
+		{"adaptive-interval", "true", func(c Config) bool { return c.AdaptiveInterval }},
+		{"adaptive-floor-min", "5", func(c Config) bool { return c.AdaptiveIntervalMin == Minutes(5) }},
+		{"adaptive-ceiling-min", "240", func(c Config) bool { return c.AdaptiveIntervalMax == Minutes(240) }},
 	} {
 		c := Default()
 		if err := SetParam(&c, tc.name, tc.value); err != nil {
@@ -68,7 +92,7 @@ func TestSetParamVocabulary(t *testing.T) {
 			t.Errorf("%s=%s did not set its field: %+v", tc.name, tc.value, c)
 		}
 	}
-	if got, want := len(ParamNames()), 16; got != want {
+	if got, want := len(ParamNames()), 40; got != want {
 		t.Errorf("vocabulary has %d names, the test covers %d", got, want)
 	}
 }
@@ -80,7 +104,9 @@ func TestSetParamRejects(t *testing.T) {
 		!strings.Contains(err.Error(), strings.Join(ParamNames(), ", ")) {
 		t.Errorf("unknown name: %v", err)
 	}
-	for _, bad := range [][2]string{{"procs", "many"}, {"blocking-write", "maybe"}, {"coordination", "bogus"}} {
+	for _, bad := range [][2]string{{"procs", "many"}, {"blocking-write", "maybe"}, {"coordination", "bogus"},
+		{"procs", "8192.9"}, {"nodes", "1024.5"}, {"severe-threshold", "2.5"}, {"mttf-years", "inf"},
+		{"failure-dist", "lognormal"}} {
 		before := c
 		if err := SetParam(&c, bad[0], bad[1]); err == nil {
 			t.Errorf("%s=%s accepted", bad[0], bad[1])

@@ -12,6 +12,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/blocks"
@@ -158,8 +159,9 @@ func (e *CellError) Unwrap() error { return e.Err }
 // Options after the manifest values are applied — sweeps use it to attach
 // per-cell journals and labels. A journal in opts is refused: cells
 // complete in scheduling order, so one journal shared across cells would
-// interleave nondeterministically. Cell failures are reported as
-// *CellError.
+// interleave nondeterministically. opts.Progress reports the grid: its
+// Done and Total count cells, its Events the events of finished cells.
+// Cell failures are reported as *CellError.
 func EstimateGrid(ctx context.Context, m *blocks.Manifest, opts Options, cellOpts func(ci int, o Options) Options) ([]Result, error) {
 	if m.Kind != blocks.KindEstimate {
 		return nil, fmt.Errorf("runner: cannot estimate %q manifest", m.Kind)
@@ -173,8 +175,8 @@ func EstimateGrid(ctx context.Context, m *blocks.Manifest, opts Options, cellOpt
 		whole[b.CellIndex].Seeds = append(whole[b.CellIndex].Seeds, b.Seeds...)
 	}
 	opts = opts.WithDefaults()
-	p := exec.Pool{Workers: exec.WorkerCount(opts.Workers), Metrics: opts.Metrics}
-	return exec.Map(ctx, p, len(m.Cells), func(ctx context.Context, ci int) (Result, error) {
+	var events atomic.Uint64
+	return exec.Map(ctx, pool(opts, &events), len(m.Cells), func(ctx context.Context, ci int) (Result, error) {
 		cell := m.Cells[ci]
 		o := opts
 		o.Replications = cell.Replications
@@ -189,9 +191,12 @@ func EstimateGrid(ctx context.Context, m *blocks.Manifest, opts Options, cellOpt
 		if cellOpts != nil {
 			o = cellOpts(ci, o)
 		}
-		res, _, err := estimateBlock(ctx, cell.Config, whole[ci], o)
+		res, outs, err := estimateBlock(ctx, cell.Config, whole[ci], o)
 		if err != nil {
 			return Result{}, &CellError{Index: ci, Label: cell.Label, X: cell.X, Err: err}
+		}
+		for _, out := range outs {
+			events.Add(out.fired)
 		}
 		return res, nil
 	})

@@ -64,3 +64,29 @@ func TestEstimateGridRejectsSharedJournal(t *testing.T) {
 		t.Errorf("rejected grid journaled %d bytes", buf.Len())
 	}
 }
+
+// A grid reports progress in cells: the hook given to EstimateGrid sees
+// exactly one Final snapshot, with every cell done and their events
+// counted.
+func TestEstimateGridReportsProgress(t *testing.T) {
+	cells := []blocks.Cell{{Seed: 1, Config: cluster.Default()}, {Seed: 2, Config: cluster.Default()}, {Seed: 3, Config: cluster.Default()}}
+	m, err := PlanGrid("progress", cells, 0, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var finals []Progress
+	_, err = EstimateGrid(context.Background(), m, Options{Workers: 2, Progress: func(p Progress) {
+		if p.Final {
+			finals = append(finals, p)
+		}
+	}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(finals) != 1 {
+		t.Fatalf("%d Final snapshots, want 1", len(finals))
+	}
+	if f := finals[0]; f.Done != len(m.Cells) || f.Total != len(m.Cells) || f.Events == 0 {
+		t.Errorf("Final snapshot %+v, want Done == Total == %d and events counted", f, len(m.Cells))
+	}
+}

@@ -116,7 +116,7 @@ type Options struct {
 // Progress is a snapshot of an in-flight estimation.
 type Progress struct {
 	// Done and Total count finished and scheduled replications (for
-	// Compare, of the leg in flight).
+	// Compare, of the leg in flight; for EstimateGrid, cells).
 	Done, Total int
 	// Events is the cumulative number of simulation events fired across
 	// the completed replications (for Compare, of the leg in flight).

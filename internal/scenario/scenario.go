@@ -1,10 +1,10 @@
 // Package scenario is the declarative registry of named model
-// configurations: each scenario bundles a configio file config with the
-// metadata needed to pick it from a catalog — title, description,
-// citation, tags and optional expected-metric hints. The built-in catalog
-// is embedded from the scenarios/ directory, so every variant the
-// experiments and CLIs run is data, not code; user-supplied directories
-// can add scenarios or override built-ins by name.
+// configurations: each scenario bundles a config block in cluster.Load's
+// schema with the metadata needed to pick it from a catalog — title,
+// description, citation, tags and optional expected-metric hints. The
+// built-in catalog is embedded from the scenarios/ directory, so every
+// variant the experiments and CLIs run is data, not code; user-supplied
+// directories can add scenarios or override built-ins by name.
 package scenario
 
 import (
@@ -15,16 +15,17 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"text/tabwriter"
 
 	"repro/internal/cluster"
-	"repro/internal/configio"
 )
 
 //go:embed scenarios/*.json
@@ -45,9 +46,9 @@ type Scenario struct {
 	// Expect optionally bounds a headline metric; validate-scenarios
 	// checks it on a deterministic smoke replication.
 	Expect *Expect `json:"expect,omitempty"`
-	// Config is the model configuration in the configio JSON schema
-	// (absent fields fall back to the Table 3 defaults).
-	Config configio.FileConfig `json:"config"`
+	// Config is the model configuration, a JSON object in cluster.Load's
+	// schema (absent keys, or no object at all, keep the Table 3 defaults).
+	Config json.RawMessage `json:"config"`
 }
 
 // Expect bounds the useful-work fraction a deterministic smoke run of the
@@ -59,10 +60,14 @@ type Expect struct {
 	UsefulFractionMax float64 `json:"usefulFractionMax"`
 }
 
-// ClusterConfig converts the scenario's file config into a validated model
+// ClusterConfig reads the scenario's config block into a validated model
 // configuration.
 func (s Scenario) ClusterConfig() (cluster.Config, error) {
-	c, err := s.Config.ToCluster()
+	src := s.Config
+	if len(src) == 0 {
+		src = json.RawMessage("{}")
+	}
+	c, err := cluster.Load(bytes.NewReader(src))
 	if err != nil {
 		return cluster.Config{}, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
@@ -102,13 +107,22 @@ type Registry struct {
 // New returns an empty registry.
 func New() *Registry { return &Registry{byName: map[string]Scenario{}} }
 
-// Builtin returns a fresh registry holding the embedded catalog. The
-// embedded files are validated by the package tests, so a failure here is
-// a build defect, not an input error — it panics rather than returning an
-// error every caller would have to treat as impossible.
-func Builtin() *Registry {
+// builtin is the embedded catalog, parsed and validated once per process.
+var builtin = sync.OnceValue(func() *Registry { return catalog(builtinFS) })
+
+// Builtin returns a fresh registry holding the embedded catalog: its own
+// copy of the map parsed once per process, so one caller's Add or LoadDir
+// never reaches another's (the scenarios themselves are shared; treat
+// them as read-only). The embedded files are validated by the package
+// tests, so a failure here is a build defect, not an input error — it
+// panics, on every call, rather than returning an error every caller
+// would have to treat as impossible.
+func Builtin() *Registry { return &Registry{byName: maps.Clone(builtin().byName)} }
+
+// catalog reads the scenarios/ directory of fsys, panicking on any error.
+func catalog(fsys fs.FS) *Registry {
 	r := New()
-	if err := r.loadFS(builtinFS, "scenarios"); err != nil {
+	if err := r.loadFS(fsys, "scenarios"); err != nil {
 		panic(fmt.Sprintf("scenario: embedded catalog corrupt: %v", err))
 	}
 	return r
@@ -233,7 +247,7 @@ func Resolve(dir string) (*Registry, error) {
 	return reg, nil
 }
 
-// BaseConfig resolves a CLI's base configuration: the configio file at
+// BaseConfig resolves a CLI's base configuration: the config file at
 // configPath or the named scenario (not both), else the defaults. It then
 // applies the explicitly set configuration flags of fs — those named in
 // the cluster parameter vocabulary, minus skip — through
@@ -252,7 +266,7 @@ func (r *Registry) BaseConfig(fs *flag.FlagSet, configPath, name string, skip ..
 	case configPath != "":
 		var data []byte
 		if data, err = os.ReadFile(configPath); err == nil {
-			cfg, err = configio.Load(bytes.NewReader(data))
+			cfg, err = cluster.Load(bytes.NewReader(data))
 		}
 	}
 	fs.Visit(func(f *flag.Flag) {
@@ -264,13 +278,16 @@ func (r *Registry) BaseConfig(fs *flag.FlagSet, configPath, name string, skip ..
 }
 
 // Parse decodes one scenario file. Unknown fields — at the top level and
-// inside the nested config — are rejected to catch typos, exactly as
-// configio.Load does for bare config files.
+// inside the nested config — are rejected to catch typos, the config's
+// by cluster.Load, which also validates it.
 func Parse(r io.Reader) (Scenario, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var s Scenario
 	if err := dec.Decode(&s); err != nil {
+		return Scenario{}, err
+	}
+	if _, err := s.ClusterConfig(); err != nil {
 		return Scenario{}, err
 	}
 	return s, nil

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"testing/fstest"
 
 	"repro/internal/model"
 )
@@ -170,4 +171,26 @@ func TestLoadDirRejectsInvalid(t *testing.T) {
 	if !strings.Contains(err.Error(), "broken.json") {
 		t.Errorf("error does not name the file: %v", err)
 	}
+}
+
+// Builtin hands each caller its own registry: a scenario added to one is
+// absent from the next.
+func TestBuiltinRegistriesAreIndependent(t *testing.T) {
+	a := Builtin()
+	if err := a.Add(Scenario{Name: "only-in-a", Title: "t", Description: "d"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Builtin().Get("only-in-a"); err == nil {
+		t.Error("a scenario added to one Builtin registry is in the next")
+	}
+}
+
+// A catalog that does not parse panics rather than loading partially.
+func TestCorruptCatalogPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("corrupt catalog did not panic")
+		}
+	}()
+	catalog(fstest.MapFS{"scenarios/bad.json": {Data: []byte(`{"name": "bad", "title": "t", "description": "d", "config": {"processros": 5}}`)}})
 }

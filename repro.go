@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/cluster"
-	"repro/internal/configio"
 	"repro/internal/cyclesim"
 	"repro/internal/experiments"
 	"repro/internal/model"
@@ -223,10 +222,10 @@ func TrajectoryCycle(cfg Config, seed uint64, warmup, measure float64) (CycleRes
 
 // LoadConfig reads a JSON configuration with human-friendly units
 // (years/minutes/seconds/MB); absent fields default to Table 3.
-func LoadConfig(r io.Reader) (Config, error) { return configio.Load(r) }
+func LoadConfig(r io.Reader) (Config, error) { return cluster.Load(r) }
 
 // SaveConfig writes cfg as indented JSON in the same schema.
-func SaveConfig(w io.Writer, cfg Config) error { return configio.Save(w, cfg) }
+func SaveConfig(w io.Writer, cfg Config) error { return cluster.Save(w, cfg) }
 
 // Scenario is one named, documented model configuration from the scenario
 // catalog: a title, description, citation, tags and optional expected-metric
